@@ -24,6 +24,7 @@
 #include "telemetry/fault_inject.h"
 #include "telemetry/io.h"
 #include "telemetry/sanitize.h"
+#include "telemetry/tail.h"
 
 using namespace domino;
 using namespace domino::bench;
@@ -245,6 +246,46 @@ void BM_LoadDatasetBinary(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LoadDatasetBinary);
+
+/// The live tail-read stage: TailingDatasetReader catching up over the same
+/// CSV bundle on the live runtime's poll grid (LiveOptions::chunk, 2 s),
+/// every stream polled each step until all reach EOF — what LiveRunner's
+/// polls cost before sanitize/derive/detect. Its time compares directly
+/// with BM_LoadDatasetCsv, the batch read of the same bytes.
+void BM_TailPoll(benchmark::State& state) {
+  const LoadFixture& fx = SharedLoadFixture();
+  const runtime::LiveOptions opts;
+  double rows = 0;
+  for (auto _ : state) {
+    telemetry::TailingDatasetReader reader(fx.csv_dir);
+    telemetry::SessionDataset ds;
+    if (!reader.PollMeta(ds)) {
+      state.SkipWithError("meta.csv unreadable");
+      break;
+    }
+    telemetry::TailLimits lim;
+    lim.cut = ds.begin;
+    lim.reorder_guard = opts.reorder_guard;
+    lim.max_jump = opts.max_watermark_jump;
+    lim.input = opts.input;
+    bool all_eof = false;
+    for (long k = 1; !all_eof; ++k) {
+      lim.limit = ds.begin + opts.chunk * k;
+      all_eof = true;
+      for (std::size_t i = 0; i < telemetry::kStreamCount; ++i) {
+        const telemetry::TailProgress p =
+            reader.Poll(static_cast<telemetry::StreamId>(i), ds, lim);
+        rows += static_cast<double>(p.rows_ingested);
+        all_eof = all_eof && p.eof;
+      }
+    }
+    benchmark::DoNotOptimize(ds);
+  }
+  state.counters["rows_per_s"] =
+      benchmark::Counter(rows, benchmark::Counter::kIsRate);
+}
+// Real time: the reads wait on the page cache, not only the CPU.
+BENCHMARK(BM_TailPoll)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// One-shot conversion cost (what `domino convert` does): tolerant CSV
 /// load plus serialize-and-write of the binary image.

@@ -27,7 +27,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
 namespace {
 
-constexpr std::size_t kMaxInputBytes = 1 << 16;
+/// Inputs are read (and mutated) up to 1 MiB, libFuzzer's own cap on corpus
+/// entries: the tail corpus holds inputs that span several of the tail
+/// reader's 64 KiB read blocks.
+constexpr std::size_t kMaxInputBytes = 1 << 20;
 
 std::uint64_t g_rng = 1;
 

@@ -213,13 +213,14 @@ ClaimResult ShardCoordinator::TryClaim(const std::string& dataset_dir,
                                        std::string* error) {
   std::lock_guard<std::mutex> lk(mu_);
   const std::string dir = LeaseDirFor(dataset_dir);
-  std::string done_text;
-  ShardDoneRecord done;
-  std::string perr;
-  if (SlurpBounded(DonePath(dir), kMaxDoneBytes, &done_text) &&
-      ParseShardDone(done_text, &done, &perr)) {
-    return ClaimResult::kDone;
-  }
+  auto done_marker = [&dir] {
+    std::string text;
+    ShardDoneRecord done;
+    std::string perr;
+    return SlurpBounded(DonePath(dir), kMaxDoneBytes, &text) &&
+           ParseShardDone(text, &done, &perr);
+  };
+  if (done_marker()) return ClaimResult::kDone;
   auto it = leases_.find(dataset_dir);
   if (it == leases_.end()) {
     it = leases_
@@ -230,8 +231,15 @@ ClaimResult ShardCoordinator::TryClaim(const std::string& dataset_dir,
   }
   switch (it->second.TryAcquire(opts_.clock(), opts_.lease_ttl_ms,
                                 /*fault=*/nullptr, error)) {
-    case LeaseAcquire::kAcquired:
-      return ClaimResult::kClaimed;
+    case LeaseAcquire::kAcquired: {
+      // The owner's MarkDone (marker, then lease release) may have landed
+      // between the check above and this acquisition; claiming now would
+      // re-run finished work. Release directly: mu_ is already held.
+      if (!done_marker()) return ClaimResult::kClaimed;
+      std::string rerr;
+      it->second.Release(&rerr);
+      return ClaimResult::kDone;
+    }
     case LeaseAcquire::kHeld:
       return ClaimResult::kHeldElsewhere;
     case LeaseAcquire::kIoError:

@@ -122,73 +122,30 @@ class Row {
   std::string message_;
 };
 
-/// Reads a CSV stream row by row, calling `parse(Row&)` per data row; the
-/// parser returns false to drop the row. Defects never escape as
-/// exceptions; they land in `stats`. InputLimits are enforced here: lines
-/// over limits.max_line_bytes and rows over limits.max_fields are dropped
-/// as kLimitExceeded/kBadField, and the loop stops (one kLimitExceeded
-/// diagnostic) after limits.max_records data rows.
-template <typename ParseFn>
-void ForEachRow(std::istream& is, const char* stream_name, ReadStats& stats,
-                const InputLimits& limits, ParseFn parse) {
-  std::string line;
-  std::vector<std::string_view> cells;
-  std::size_t row_number = 0;  // 1-based; header is row 1.
-  std::size_t records = 0;
-  bool saw_header = false;
-  for (;;) {
-    const LineRead lr = BoundedGetline(is, line, limits.max_line_bytes);
-    if (!lr.got) break;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    ++row_number;
-    // A malformed row (over-long, broken quoting, too wide) counts toward
-    // the totals but is dropped; even a broken header counts as "saw data".
-    const bool bad_line =
-        lr.truncated || !ParseCsvLineViews(line, cells, limits.max_fields);
-    if (bad_line) {
-      if (row_number == 1) saw_header = true;
-      if (row_number > 1) {
-        ++stats.rows_total;
-        ++stats.rows_dropped;
-      }
-      if (lr.truncated) {
-        stats.Add(TelemetryErrorKind::kLimitExceeded, row_number,
-                  "line exceeds " + std::to_string(limits.max_line_bytes) +
-                      " bytes");
-      } else {
-        stats.Add(TelemetryErrorKind::kBadField, row_number,
-                  "unterminated quote or more than " +
-                      std::to_string(limits.max_fields) + " fields");
-      }
-      continue;
-    }
-    if (row_number == 1) {  // header row: column names are not validated
-      saw_header = true;
-      continue;
-    }
-    if (records >= limits.max_records) {
-      stats.Add(TelemetryErrorKind::kLimitExceeded, row_number,
-                "record budget (" + std::to_string(limits.max_records) +
-                    ") exhausted for " + stream_name +
-                    "; remaining rows ignored");
-      break;
-    }
-    ++records;
-    ++stats.rows_total;
-    Row row(cells, row_number);
-    bool keep = parse(row) && row.ok();
-    if (keep) {
-      ++stats.rows_kept;
-    } else {
-      ++stats.rows_dropped;
-      row.Report(stats);
-    }
+/// Splits a line into `cells`. A line over limits.max_line_bytes, with
+/// broken quoting or with too many cells gets one diagnostic at `row`; the
+/// caller decides whether it counts as a data row (a header does not).
+bool SplitRow(std::string& line, bool truncated, std::size_t row,
+              const InputLimits& limits,
+              std::vector<std::string_view>& cells, ReadStats& stats) {
+  if (truncated) {
+    stats.Add(TelemetryErrorKind::kLimitExceeded, row,
+              "line exceeds " + std::to_string(limits.max_line_bytes) +
+                  " bytes");
+    return false;
   }
-  if (!saw_header) {
-    stats.Add(TelemetryErrorKind::kEmptyStream,
-              0, std::string("no CSV data for ") + stream_name);
+  if (!ParseCsvLineViews(line, cells, limits.max_fields)) {
+    stats.Add(TelemetryErrorKind::kBadField, row,
+              "unterminated quote or more than " +
+                  std::to_string(limits.max_fields) + " fields");
+    return false;
   }
+  return true;
+}
+
+void CountDropped(ReadStats& stats) {
+  ++stats.rows_total;
+  ++stats.rows_dropped;
 }
 
 Direction DirFromString(std::string_view s) {
@@ -196,9 +153,8 @@ Direction DirFromString(std::string_view s) {
 }
 
 // --- Shared row formats ----------------------------------------------------
-// Each stream's schema lives in one Write*Rows/Parse*Rows pair; the public
-// row-vector and columnar entry points below are thin adapters over these
-// (a `sink` receives each good record).
+// Each stream's schema lives in one Write*Rows/ParseFields pair; the public
+// row-vector and columnar entry points below are thin adapters over these.
 
 template <typename Range>
 void WriteDciRows(std::ostream& os, const Range& records) {
@@ -213,23 +169,16 @@ void WriteDciRows(std::ostream& os, const Range& records) {
   }
 }
 
-template <typename Sink>
-void ParseDciRows(std::istream& is, ReadStats& st, const InputLimits& limits,
-                  Sink sink) {
-  ForEachRow(is, "dci", st, limits, [&](Row& c) {
-    DciRecord r;
-    r.time = Time{c.Int(0)};
-    r.rnti = static_cast<std::uint32_t>(c.Int(1));
-    r.dir = DirFromString(c.Str(2));
-    r.prbs = static_cast<int>(c.Int(3));
-    r.mcs = static_cast<int>(c.Int(4));
-    r.tbs_bytes = static_cast<int>(c.Int(5));
-    r.is_retx = c.Int(6) != 0;
-    r.harq_process = static_cast<int>(c.Int(7));
-    r.attempt = static_cast<int>(c.Int(8));
-    if (c.ok()) sink(r);
-    return c.ok();
-  });
+void ParseFields(Row& c, DciRecord& r) {
+  r.time = Time{c.Int(0)};
+  r.rnti = static_cast<std::uint32_t>(c.Int(1));
+  r.dir = DirFromString(c.Str(2));
+  r.prbs = static_cast<int>(c.Int(3));
+  r.mcs = static_cast<int>(c.Int(4));
+  r.tbs_bytes = static_cast<int>(c.Int(5));
+  r.is_retx = c.Int(6) != 0;
+  r.harq_process = static_cast<int>(c.Int(7));
+  r.attempt = static_cast<int>(c.Int(8));
 }
 
 template <typename Range>
@@ -247,23 +196,16 @@ void WritePacketRows(std::ostream& os, const Range& records) {
   }
 }
 
-template <typename Sink>
-void ParsePacketRows(std::istream& is, ReadStats& st,
-                     const InputLimits& limits, Sink sink) {
-  ForEachRow(is, "packets", st, limits, [&](Row& c) {
-    PacketRecord r;
-    r.id = static_cast<std::uint64_t>(c.Int(0));
-    r.dir = DirFromString(c.Str(1));
-    r.size_bytes = static_cast<int>(c.Int(2));
-    r.sent = Time{c.Int(3)};
-    std::int64_t recv = c.Int(4);
-    r.received = recv < 0 ? Time::max() : Time{recv};
-    r.is_rtcp = c.Int(5) != 0;
-    r.is_audio = c.Int(6) != 0;
-    r.frame_id = static_cast<std::uint64_t>(c.Int(7));
-    if (c.ok()) sink(r);
-    return c.ok();
-  });
+void ParseFields(Row& c, PacketRecord& r) {
+  r.id = static_cast<std::uint64_t>(c.Int(0));
+  r.dir = DirFromString(c.Str(1));
+  r.size_bytes = static_cast<int>(c.Int(2));
+  r.sent = Time{c.Int(3)};
+  const std::int64_t recv = c.Int(4);
+  r.received = recv < 0 ? Time::max() : Time{recv};
+  r.is_rtcp = c.Int(5) != 0;
+  r.is_audio = c.Int(6) != 0;
+  r.frame_id = static_cast<std::uint64_t>(c.Int(7));
 }
 
 template <typename Range>
@@ -282,33 +224,26 @@ void WriteStatsRows(std::ostream& os, const Range& records) {
   }
 }
 
-template <typename Sink>
-void ParseStatsRows(std::istream& is, ReadStats& st,
-                    const InputLimits& limits, Sink sink) {
-  ForEachRow(is, "stats", st, limits, [&](Row& c) {
-    WebRtcStatsRecord r;
-    r.time = Time{c.Int(0)};
-    r.inbound_fps = c.Dbl(1);
-    r.outbound_fps = c.Dbl(2);
-    r.outbound_resolution = static_cast<int>(c.Int(3));
-    r.jitter_buffer_ms = c.Dbl(4);
-    r.target_bitrate_bps = c.Dbl(5);
-    r.pushback_bitrate_bps = c.Dbl(6);
-    r.outstanding_bytes = c.Dbl(7);
-    r.cwnd_bytes = c.Dbl(8);
-    if (c.Str(9) == "overuse") {
-      r.gcc_state = NetworkState::kOveruse;
-    } else if (c.Str(9) == "underuse") {
-      r.gcc_state = NetworkState::kUnderuse;
-    } else {
-      r.gcc_state = NetworkState::kNormal;
-    }
-    r.delay_slope = c.Dbl(10);
-    r.concealed_ratio = c.Dbl(11);
-    r.frozen = c.Int(12) != 0;
-    if (c.ok()) sink(r);
-    return c.ok();
-  });
+void ParseFields(Row& c, WebRtcStatsRecord& r) {
+  r.time = Time{c.Int(0)};
+  r.inbound_fps = c.Dbl(1);
+  r.outbound_fps = c.Dbl(2);
+  r.outbound_resolution = static_cast<int>(c.Int(3));
+  r.jitter_buffer_ms = c.Dbl(4);
+  r.target_bitrate_bps = c.Dbl(5);
+  r.pushback_bitrate_bps = c.Dbl(6);
+  r.outstanding_bytes = c.Dbl(7);
+  r.cwnd_bytes = c.Dbl(8);
+  if (c.Str(9) == "overuse") {
+    r.gcc_state = NetworkState::kOveruse;
+  } else if (c.Str(9) == "underuse") {
+    r.gcc_state = NetworkState::kUnderuse;
+  } else {
+    r.gcc_state = NetworkState::kNormal;
+  }
+  r.delay_slope = c.Dbl(10);
+  r.concealed_ratio = c.Dbl(11);
+  r.frozen = c.Int(12) != 0;
 }
 
 template <typename Range>
@@ -324,26 +259,131 @@ void WriteGnbLogRows(std::ostream& os, const Range& records) {
   }
 }
 
-template <typename Sink>
-void ParseGnbLogRows(std::istream& is, ReadStats& st,
-                     const InputLimits& limits, Sink sink) {
-  ForEachRow(is, "gnb_log", st, limits, [&](Row& c) {
-    GnbLogRecord r;
-    r.time = Time{c.Int(0)};
-    r.rnti = static_cast<std::uint32_t>(c.Int(1));
-    r.dir = DirFromString(c.Str(2));
-    r.rlc_buffer_bytes = static_cast<int>(c.Int(3));
-    r.rlc_retx = c.Int(4) != 0;
-    if (c.Str(5) == "connected") {
-      r.rrc_state = RrcState::kConnected;
-    } else if (c.Str(5) == "idle") {
-      r.rrc_state = RrcState::kIdle;
-    } else {
-      r.rrc_state = RrcState::kTransitioning;
+void ParseFields(Row& c, GnbLogRecord& r) {
+  r.time = Time{c.Int(0)};
+  r.rnti = static_cast<std::uint32_t>(c.Int(1));
+  r.dir = DirFromString(c.Str(2));
+  r.rlc_buffer_bytes = static_cast<int>(c.Int(3));
+  r.rlc_retx = c.Int(4) != 0;
+  if (c.Str(5) == "connected") {
+    r.rrc_state = RrcState::kConnected;
+  } else if (c.Str(5) == "idle") {
+    r.rrc_state = RrcState::kIdle;
+  } else {
+    r.rrc_state = RrcState::kTransitioning;
+  }
+}
+
+template <typename Rec>
+RowParse ParseRow(std::string& line, bool truncated, std::size_t row,
+                  const InputLimits& limits,
+                  std::vector<std::string_view>& cells, ReadStats& stats,
+                  Rec& out) {
+  if (!SplitRow(line, truncated, row, limits, cells, stats)) {
+    CountDropped(stats);
+    return RowParse::kMalformed;
+  }
+  Row c(cells, row);
+  Rec r;
+  ParseFields(c, r);
+  if (!c.ok()) {
+    CountDropped(stats);
+    c.Report(stats);
+    return RowParse::kBadRow;
+  }
+  out = r;
+  return RowParse::kRecord;
+}
+
+}  // namespace
+
+RowParse ParseCsvRow(std::string& line, bool truncated, std::size_t row,
+                     const InputLimits& limits,
+                     std::vector<std::string_view>& cells, ReadStats& stats,
+                     DciRecord& out) {
+  return ParseRow(line, truncated, row, limits, cells, stats, out);
+}
+RowParse ParseCsvRow(std::string& line, bool truncated, std::size_t row,
+                     const InputLimits& limits,
+                     std::vector<std::string_view>& cells, ReadStats& stats,
+                     GnbLogRecord& out) {
+  return ParseRow(line, truncated, row, limits, cells, stats, out);
+}
+RowParse ParseCsvRow(std::string& line, bool truncated, std::size_t row,
+                     const InputLimits& limits,
+                     std::vector<std::string_view>& cells, ReadStats& stats,
+                     PacketRecord& out) {
+  return ParseRow(line, truncated, row, limits, cells, stats, out);
+}
+RowParse ParseCsvRow(std::string& line, bool truncated, std::size_t row,
+                     const InputLimits& limits,
+                     std::vector<std::string_view>& cells, ReadStats& stats,
+                     WebRtcStatsRecord& out) {
+  return ParseRow(line, truncated, row, limits, cells, stats, out);
+}
+
+namespace {
+
+/// Reads a CSV stream row by row, handing each good `Rec` to `sink`; every
+/// data row goes through ParseCsvRow. Defects never escape as exceptions;
+/// they land in `stats`. InputLimits are enforced here: lines over
+/// limits.max_line_bytes and rows over limits.max_fields are dropped as
+/// kLimitExceeded/kBadField, and the loop stops (one kLimitExceeded
+/// diagnostic) after limits.max_records well-formed data rows.
+template <typename Rec, typename Sink>
+void ForEachRow(std::istream& is, const char* stream_name, ReadStats& stats,
+                const InputLimits& limits, Sink sink) {
+  std::string line;
+  std::vector<std::string_view> cells;
+  std::size_t row_number = 0;  // 1-based; header is row 1.
+  std::size_t records = 0;
+  bool saw_header = false;
+  Rec rec;
+  for (;;) {
+    const LineRead lr = BoundedGetline(is, line, limits.max_line_bytes);
+    if (!lr.got) break;
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.empty()) continue;
+    ++row_number;
+    if (row_number == 1) {
+      // Header row: column names are not validated, and even a malformed
+      // header counts as "saw data" (diagnosed, but not a data row).
+      saw_header = true;
+      SplitRow(line, lr.truncated, row_number, limits, cells, stats);
+      continue;
     }
-    if (c.ok()) sink(r);
-    return c.ok();
-  });
+    if (records >= limits.max_records) {
+      // Only a well-formed row finds the budget exhausted; a malformed one
+      // is still dropped and counted.
+      if (!SplitRow(line, lr.truncated, row_number, limits, cells, stats)) {
+        CountDropped(stats);
+        continue;
+      }
+      stats.Add(TelemetryErrorKind::kLimitExceeded, row_number,
+                "record budget (" + std::to_string(limits.max_records) +
+                    ") exhausted for " + stream_name +
+                    "; remaining rows ignored");
+      break;
+    }
+    switch (ParseCsvRow(line, lr.truncated, row_number, limits, cells, stats,
+                        rec)) {
+      case RowParse::kRecord:
+        ++records;
+        ++stats.rows_total;
+        ++stats.rows_kept;
+        sink(rec);
+        break;
+      case RowParse::kBadRow:
+        ++records;
+        break;
+      case RowParse::kMalformed:
+        break;
+    }
+  }
+  if (!saw_header) {
+    stats.Add(TelemetryErrorKind::kEmptyStream,
+              0, std::string("no CSV data for ") + stream_name);
+  }
 }
 
 ReadStats& StatsOrLocal(ReadStats* stats, ReadStats& local) {
@@ -369,8 +409,8 @@ std::vector<DciRecord> ReadDciCsv(std::istream& is, ReadStats* stats,
                                   const InputLimits& limits) {
   ReadStats local;
   std::vector<DciRecord> out;
-  ParseDciRows(is, StatsOrLocal(stats, local), limits,
-               [&](const DciRecord& r) { out.push_back(r); });
+  ForEachRow<DciRecord>(is, "dci", StatsOrLocal(stats, local), limits,
+                   [&](const DciRecord& r) { out.push_back(r); });
   return out;
 }
 
@@ -378,8 +418,8 @@ void ReadDciCsvInto(std::istream& is, DciColumns& out, ReadStats* stats,
                     const InputLimits& limits, std::size_t reserve_hint) {
   ReadStats local;
   if (reserve_hint > 0) out.reserve(out.size() + CapHint(reserve_hint, limits));
-  ParseDciRows(is, StatsOrLocal(stats, local), limits,
-               [&](const DciRecord& r) { out.Append(r); });
+  ForEachRow<DciRecord>(is, "dci", StatsOrLocal(stats, local), limits,
+                   [&](const DciRecord& r) { out.Append(r); });
 }
 
 void WritePacketCsv(std::ostream& os,
@@ -394,8 +434,8 @@ std::vector<PacketRecord> ReadPacketCsv(std::istream& is, ReadStats* stats,
                                         const InputLimits& limits) {
   ReadStats local;
   std::vector<PacketRecord> out;
-  ParsePacketRows(is, StatsOrLocal(stats, local), limits,
-                  [&](const PacketRecord& r) { out.push_back(r); });
+  ForEachRow<PacketRecord>(is, "packets", StatsOrLocal(stats, local), limits,
+                   [&](const PacketRecord& r) { out.push_back(r); });
   return out;
 }
 
@@ -403,8 +443,8 @@ void ReadPacketCsvInto(std::istream& is, PacketColumns& out, ReadStats* stats,
                        const InputLimits& limits, std::size_t reserve_hint) {
   ReadStats local;
   if (reserve_hint > 0) out.reserve(out.size() + CapHint(reserve_hint, limits));
-  ParsePacketRows(is, StatsOrLocal(stats, local), limits,
-                  [&](const PacketRecord& r) { out.Append(r); });
+  ForEachRow<PacketRecord>(is, "packets", StatsOrLocal(stats, local), limits,
+                   [&](const PacketRecord& r) { out.Append(r); });
 }
 
 void WriteStatsCsv(std::ostream& os,
@@ -420,8 +460,9 @@ std::vector<WebRtcStatsRecord> ReadStatsCsv(std::istream& is,
                                             const InputLimits& limits) {
   ReadStats local;
   std::vector<WebRtcStatsRecord> out;
-  ParseStatsRows(is, StatsOrLocal(stats, local), limits,
-                 [&](const WebRtcStatsRecord& r) { out.push_back(r); });
+  ForEachRow<WebRtcStatsRecord>(
+      is, "stats", StatsOrLocal(stats, local), limits,
+      [&](const WebRtcStatsRecord& r) { out.push_back(r); });
   return out;
 }
 
@@ -429,8 +470,9 @@ void ReadStatsCsvInto(std::istream& is, StatsColumns& out, ReadStats* stats,
                       const InputLimits& limits, std::size_t reserve_hint) {
   ReadStats local;
   if (reserve_hint > 0) out.reserve(out.size() + CapHint(reserve_hint, limits));
-  ParseStatsRows(is, StatsOrLocal(stats, local), limits,
-                 [&](const WebRtcStatsRecord& r) { out.Append(r); });
+  ForEachRow<WebRtcStatsRecord>(
+      is, "stats", StatsOrLocal(stats, local), limits,
+      [&](const WebRtcStatsRecord& r) { out.Append(r); });
 }
 
 void WriteGnbLogCsv(std::ostream& os,
@@ -445,8 +487,8 @@ std::vector<GnbLogRecord> ReadGnbLogCsv(std::istream& is, ReadStats* stats,
                                         const InputLimits& limits) {
   ReadStats local;
   std::vector<GnbLogRecord> out;
-  ParseGnbLogRows(is, StatsOrLocal(stats, local), limits,
-                  [&](const GnbLogRecord& r) { out.push_back(r); });
+  ForEachRow<GnbLogRecord>(is, "gnb_log", StatsOrLocal(stats, local), limits,
+                   [&](const GnbLogRecord& r) { out.push_back(r); });
   return out;
 }
 
@@ -454,8 +496,8 @@ void ReadGnbLogCsvInto(std::istream& is, GnbLogColumns& out, ReadStats* stats,
                        const InputLimits& limits, std::size_t reserve_hint) {
   ReadStats local;
   if (reserve_hint > 0) out.reserve(out.size() + CapHint(reserve_hint, limits));
-  ParseGnbLogRows(is, StatsOrLocal(stats, local), limits,
-                  [&](const GnbLogRecord& r) { out.Append(r); });
+  ForEachRow<GnbLogRecord>(is, "gnb_log", StatsOrLocal(stats, local), limits,
+                   [&](const GnbLogRecord& r) { out.Append(r); });
 }
 
 bool DatasetLoadReport::ok() const {

@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/parse.h"
@@ -63,6 +64,41 @@ struct ReadStats {
   /// Merges another stream's outcome into this one (for aggregate views).
   void Merge(const ReadStats& other);
 };
+
+/// What ParseCsvRow made of one CSV data row.
+enum class RowParse : std::uint8_t {
+  kRecord,     ///< Parsed into `out`; not yet counted in the ReadStats.
+  kBadRow,     ///< Well-formed CSV the stream schema rejects (dropped).
+  kMalformed,  ///< Over-long line, broken quoting or too many cells
+               ///< (dropped).
+};
+
+/// Parses one CSV data row with the row checks and stream schema of the
+/// batch readers below, which call it for every data row; the live tail
+/// (tail.h) calls it too, so both ingest the same bytes identically.
+/// `line` is one line without its '\n' and trailing '\r', not blank;
+/// `truncated` says it exceeded limits.max_line_bytes (LineRead::truncated).
+/// Quoted cells are unescaped in place, and `cells` is scratch reused
+/// across calls (views into `line`). A dropped row is counted in
+/// rows_total and rows_dropped, with one diagnostic at the 1-based CSV row
+/// number `row`; a parsed row is left for the caller to count, since the
+/// tail may hold it back.
+RowParse ParseCsvRow(std::string& line, bool truncated, std::size_t row,
+                     const InputLimits& limits,
+                     std::vector<std::string_view>& cells, ReadStats& stats,
+                     DciRecord& out);
+RowParse ParseCsvRow(std::string& line, bool truncated, std::size_t row,
+                     const InputLimits& limits,
+                     std::vector<std::string_view>& cells, ReadStats& stats,
+                     GnbLogRecord& out);
+RowParse ParseCsvRow(std::string& line, bool truncated, std::size_t row,
+                     const InputLimits& limits,
+                     std::vector<std::string_view>& cells, ReadStats& stats,
+                     PacketRecord& out);
+RowParse ParseCsvRow(std::string& line, bool truncated, std::size_t row,
+                     const InputLimits& limits,
+                     std::vector<std::string_view>& cells, ReadStats& stats,
+                     WebRtcStatsRecord& out);
 
 // Single-stream writers/readers (stream-based for testability). With
 // `stats` null the readers are still tolerant — diagnostics are simply

@@ -1,9 +1,11 @@
 #include "telemetry/tail.h"
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -16,18 +18,104 @@ namespace {
 constexpr long kMaxBackoffShift = 6;
 constexpr long kMaxBackoffPolls = 64;
 
-/// Parses one data line with the stream's tolerant batch reader by
-/// prepending a dummy header (the readers skip row 1 unvalidated). Returns
-/// zero or one record; diagnostics (with row number 2) land in `row_stats`.
+/// Bytes read from a stream file per read call.
+constexpr std::size_t kBlockBytes = 64 << 10;
+
+/// Splits a stream into '\n'-terminated lines, reading it in kBlockBytes
+/// blocks and finding line ends with memchr. Each Next() has
+/// BoundedGetline's exact LineRead semantics: a line may straddle blocks,
+/// only its first `max_line_bytes` bytes are kept (truncated), raw_len
+/// counts all of them, and a last line without '\n' comes back with
+/// hit_eof so the caller can defer it.
+class BlockLineReader {
+ public:
+  /// `block` is the caller's buffer, sized kBlockBytes on first use.
+  BlockLineReader(std::istream& is, std::vector<char>& block,
+                  std::size_t max_line_bytes)
+      : is_(is), max_(max_line_bytes), block_(block) {
+    block_.resize(kBlockBytes);
+  }
+
+  LineRead Next(std::string& line) {
+    line.clear();
+    LineRead r;
+    for (;;) {
+      if (pos_ == end_ && !Refill()) {
+        r.hit_eof = true;
+        r.got = r.raw_len > 0;
+        return r;
+      }
+      const char* start = block_.data() + pos_;
+      const std::size_t avail = end_ - pos_;
+      const auto* nl =
+          static_cast<const char*>(std::memchr(start, '\n', avail));
+      const std::size_t n =
+          nl != nullptr ? static_cast<std::size_t>(nl - start) : avail;
+      const std::size_t room = max_ - line.size();
+      if (n > room) r.truncated = true;
+      line.append(start, std::min(n, room));
+      r.raw_len += n;
+      pos_ += n;
+      if (nl != nullptr) {
+        ++pos_;
+        r.got = true;
+        return r;
+      }
+    }
+  }
+
+ private:
+  bool Refill() {
+    if (eof_) return false;
+    is_.read(block_.data(), static_cast<std::streamsize>(kBlockBytes));
+    pos_ = 0;
+    end_ = static_cast<std::size_t>(is_.gcount());
+    eof_ = end_ < kBlockBytes;  // Regular files read short only at EOF.
+    return end_ > 0;
+  }
+
+  std::istream& is_;
+  std::size_t max_;
+  std::vector<char>& block_;
+  std::size_t pos_ = 0;
+  std::size_t end_ = 0;
+  bool eof_ = false;
+};
+
+/// Parses one data line into `rec` the way the batch readers do: the
+/// trailing '\r' is dropped, a blank line yields nothing and is not
+/// counted, anything else goes through ParseCsvRow, which counts and
+/// diagnoses a dropped row in `stats` at `row`. True iff `rec` was filled.
 template <typename Rec>
-std::vector<Rec> ParseLine(const std::string& line,
-                           std::vector<Rec> (*reader)(std::istream&,
-                                                      ReadStats*,
-                                                      const InputLimits&),
-                           ReadStats* row_stats, const InputLimits& limits) {
-  std::istringstream is("h\n" + line + "\n");
-  return reader(is, row_stats, limits);
+bool ParseDataLine(std::string& line, bool truncated, std::size_t row,
+                   const InputLimits& limits,
+                   std::vector<std::string_view>& cells, ReadStats& stats,
+                   Rec& rec) {
+  if (!line.empty() && line.back() == '\r') line.pop_back();
+  if (line.empty() && !truncated) return false;
+  return ParseCsvRow(line, truncated, row, limits, cells, stats, rec) ==
+         RowParse::kRecord;
 }
+
+/// Calls `fn(columns, time_of)` with the columns of stream `id` in `ds` and
+/// the record time the stop rule reads: the one place the tail maps stream
+/// ids to record types.
+template <typename Fn>
+void WithStream(StreamId id, SessionDataset& ds, Fn&& fn) {
+  const auto time = [](const auto& r) { return r.time; };
+  switch (id) {
+    case StreamId::kDci: return fn(ds.dci, time);
+    case StreamId::kGnbLog: return fn(ds.gnb_log, time);
+    case StreamId::kPackets:
+      return fn(ds.packets, [](const PacketRecord& r) { return r.sent; });
+    case StreamId::kStatsUe: return fn(ds.stats[kUeClient], time);
+    case StreamId::kStatsRemote: return fn(ds.stats[kRemoteClient], time);
+  }
+}
+
+/// The record type stored in a columnar stream.
+template <typename Cols>
+using RecordOf = typename std::remove_reference_t<Cols>::value_type;
 
 }  // namespace
 
@@ -98,19 +186,17 @@ TailProgress TailingDatasetReader::Poll(StreamId id, SessionDataset& ds,
   st.next_attempt = 0;
 
   f.seekg(static_cast<std::streamoff>(st.offset));
-
-  // Per-line consumption loop. Shared across the five record types via a
-  // small lambda that parses + accepts one trimmed line and reports the
-  // record time (or no record).
-  auto consume = [&](auto reader, auto time_of, auto sink) {
-    std::string line;
-    while (true) {
+  BlockLineReader lines(f, block_, lim.input.max_line_bytes);
+  std::string line;
+  std::vector<std::string_view> cells;
+  WithStream(id, ds, [&](auto& out, auto time_of) {
+    RecordOf<decltype(out)> rec;
+    for (;;) {
       if (st.offset == static_cast<std::size_t>(size)) {
         p.eof = true;
         return;
       }
-      const LineRead lr =
-          BoundedGetline(f, line, lim.input.max_line_bytes);
+      const LineRead lr = lines.Next(line);
       if (!lr.got) {
         p.eof = true;
         return;
@@ -122,7 +208,6 @@ TailProgress TailingDatasetReader::Poll(StreamId id, SessionDataset& ds,
       // raw_len counts every byte of the line even past the buffering cap,
       // so offsets stay byte-exact for over-long (dropped) lines too.
       const std::size_t consumed = lr.raw_len + 1;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
       if (!st.header_seen) {
         st.header_seen = true;
         st.abs_row = 1;
@@ -130,36 +215,16 @@ TailProgress TailingDatasetReader::Poll(StreamId id, SessionDataset& ds,
         p.progressed = true;
         continue;
       }
-      if (lr.truncated) {
-        const std::size_t this_row = st.abs_row + 1;
-        st.offset += consumed;
-        st.abs_row = this_row;
-        p.progressed = true;
-        ++st.stats.rows_total;
-        ++st.stats.rows_dropped;
-        st.stats.Add(TelemetryErrorKind::kLimitExceeded, this_row,
-                     "line exceeds " +
-                         std::to_string(lim.input.max_line_bytes) +
-                         " bytes");
-        continue;
-      }
-      ReadStats row_stats;
-      auto recs = reader(line, &row_stats);
       const std::size_t this_row = st.abs_row + 1;
-      if (recs.empty()) {
-        // Blank or malformed: consume it, fold diagnostics in with the
-        // absolute row number.
+      if (!ParseDataLine(line, lr.truncated, this_row, lim.input, cells,
+                         st.stats, rec)) {
+        // Blank, or malformed and already counted with its absolute row
+        // number: consume it.
         st.offset += consumed;
         st.abs_row = this_row;
         p.progressed = true;
-        st.stats.rows_total += row_stats.rows_total;
-        st.stats.rows_dropped += row_stats.rows_dropped;
-        for (auto& e : row_stats.errors) {
-          st.stats.Add(e.kind, this_row, std::move(e.message));
-        }
         continue;
       }
-      const auto& rec = recs.front();
       const Time t = time_of(rec);
       if (t >= lim.limit + lim.reorder_guard &&
           t <= lim.limit + lim.max_jump) {
@@ -172,66 +237,17 @@ TailProgress TailingDatasetReader::Poll(StreamId id, SessionDataset& ds,
       st.abs_row = this_row;
       p.progressed = true;
       ++st.stats.rows_total;
-      if (t < lim.cut) {
-        // Behind the retention horizon (only possible on a resume
-        // re-scan): already analysed, drop silently but keep counts exact.
-        ++st.stats.rows_kept;
-        continue;
-      }
       ++st.stats.rows_kept;
+      // Behind the retention horizon (only possible on a resume re-scan):
+      // already analysed, drop silently but keep counts exact.
+      if (t < lim.cut) continue;
       ++p.rows_ingested;
       if (t <= lim.limit + lim.max_jump) {
         st.watermark = std::max(st.watermark, t);
       }
-      sink(rec);
+      out.push_back(rec);
     }
-  };
-
-  switch (id) {
-    case StreamId::kDci:
-      consume([&](const std::string& l, ReadStats* s) {
-                return ParseLine<DciRecord>(l, &ReadDciCsv, s, lim.input);
-              },
-              [](const DciRecord& r) { return r.time; },
-              [&](const DciRecord& r) { ds.dci.push_back(r); });
-      break;
-    case StreamId::kGnbLog:
-      consume([&](const std::string& l, ReadStats* s) {
-                return ParseLine<GnbLogRecord>(l, &ReadGnbLogCsv, s,
-                                               lim.input);
-              },
-              [](const GnbLogRecord& r) { return r.time; },
-              [&](const GnbLogRecord& r) { ds.gnb_log.push_back(r); });
-      break;
-    case StreamId::kPackets:
-      consume([&](const std::string& l, ReadStats* s) {
-                return ParseLine<PacketRecord>(l, &ReadPacketCsv, s,
-                                               lim.input);
-              },
-              [](const PacketRecord& r) { return r.sent; },
-              [&](const PacketRecord& r) { ds.packets.push_back(r); });
-      break;
-    case StreamId::kStatsUe:
-      consume([&](const std::string& l, ReadStats* s) {
-                return ParseLine<WebRtcStatsRecord>(l, &ReadStatsCsv, s,
-                                                    lim.input);
-              },
-              [](const WebRtcStatsRecord& r) { return r.time; },
-              [&](const WebRtcStatsRecord& r) {
-                ds.stats[kUeClient].push_back(r);
-              });
-      break;
-    case StreamId::kStatsRemote:
-      consume([&](const std::string& l, ReadStats* s) {
-                return ParseLine<WebRtcStatsRecord>(l, &ReadStatsCsv, s,
-                                                    lim.input);
-              },
-              [](const WebRtcStatsRecord& r) { return r.time; },
-              [&](const WebRtcStatsRecord& r) {
-                ds.stats[kRemoteClient].push_back(r);
-              });
-      break;
-  }
+  });
   return p;
 }
 
@@ -266,80 +282,35 @@ void TailingDatasetReader::ReplayTo(StreamId id, SessionDataset& ds,
           " — file is shorter than its checkpointed cursor");
     }
     f.seekg(0);
-
-    std::size_t pos = 0;
-    bool header = false;
-    auto replay = [&](auto reader, auto time_of, auto sink) {
-      std::string line;
+    BlockLineReader lines(f, block_, limits.max_line_bytes);
+    std::string line;
+    std::vector<std::string_view> cells;
+    ReadStats counted;  // The killed process already counted these rows.
+    WithStream(id, ds, [&](auto& out, auto time_of) {
+      RecordOf<decltype(out)> rec;
+      std::size_t pos = 0;
+      bool header = false;
       while (pos < cur.offset) {
-        const LineRead lr =
-            BoundedGetline(f, line, limits.max_line_bytes);
+        const LineRead lr = lines.Next(line);
         if (!lr.got) break;
         // A final line with no newline contributes raw_len bytes only; the
         // checkpointed cursor never points past a newline-terminated row,
         // so this keeps pos byte-exact in both cases.
-        const std::size_t consumed = lr.raw_len + (lr.hit_eof ? 0 : 1);
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        pos += consumed;
+        pos += lr.raw_len + (lr.hit_eof ? 0 : 1);
         if (!header) {
           header = true;
           continue;
         }
-        // Over-long lines were dropped by the killed process too: skip the
-        // parse but keep consuming bytes.
-        if (lr.truncated) continue;
-        auto recs = reader(line, nullptr);
-        if (recs.empty()) continue;  // Malformed; already counted.
-        const auto& rec = recs.front();
+        // Blank, over-long and malformed lines left no record in the
+        // killed process either.
+        if (!ParseDataLine(line, lr.truncated, 0, limits, cells, counted,
+                           rec)) {
+          continue;
+        }
         if (time_of(rec) < cut) continue;  // Evicted before the crash.
-        sink(rec);
+        out.push_back(rec);
       }
-    };
-    switch (id) {
-      case StreamId::kDci:
-        replay([&](const std::string& l, ReadStats* s) {
-                 return ParseLine<DciRecord>(l, &ReadDciCsv, s, limits);
-               },
-               [](const DciRecord& r) { return r.time; },
-               [&](const DciRecord& r) { ds.dci.push_back(r); });
-        break;
-      case StreamId::kGnbLog:
-        replay([&](const std::string& l, ReadStats* s) {
-                 return ParseLine<GnbLogRecord>(l, &ReadGnbLogCsv, s,
-                                                limits);
-               },
-               [](const GnbLogRecord& r) { return r.time; },
-               [&](const GnbLogRecord& r) { ds.gnb_log.push_back(r); });
-        break;
-      case StreamId::kPackets:
-        replay([&](const std::string& l, ReadStats* s) {
-                 return ParseLine<PacketRecord>(l, &ReadPacketCsv, s,
-                                                limits);
-               },
-               [](const PacketRecord& r) { return r.sent; },
-               [&](const PacketRecord& r) { ds.packets.push_back(r); });
-        break;
-      case StreamId::kStatsUe:
-        replay([&](const std::string& l, ReadStats* s) {
-                 return ParseLine<WebRtcStatsRecord>(l, &ReadStatsCsv, s,
-                                                     limits);
-               },
-               [](const WebRtcStatsRecord& r) { return r.time; },
-               [&](const WebRtcStatsRecord& r) {
-                 ds.stats[kUeClient].push_back(r);
-               });
-        break;
-      case StreamId::kStatsRemote:
-        replay([&](const std::string& l, ReadStats* s) {
-                 return ParseLine<WebRtcStatsRecord>(l, &ReadStatsCsv, s,
-                                                     limits);
-               },
-               [](const WebRtcStatsRecord& r) { return r.time; },
-               [&](const WebRtcStatsRecord& r) {
-                 ds.stats[kRemoteClient].push_back(r);
-               });
-        break;
-    }
+    });
   }
   st.offset = cur.offset;
   st.abs_row = cur.abs_row;

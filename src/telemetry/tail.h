@@ -3,9 +3,14 @@
 // A live capture directory has the same layout SaveDataset produces, but
 // the per-stream CSVs *grow* while we read them. TailingDatasetReader keeps
 // a byte offset per stream and, on each poll, parses only the complete rows
-// appended since the previous poll, reusing the tolerant single-stream
-// readers from io.h so malformed-row semantics match batch ingestion
-// exactly.
+// appended since the previous poll: it reads the file in 64 KiB blocks,
+// splits them into lines itself (with BoundedGetline's byte-exact
+// accounting), and hands each data row to io.h's per-line ParseCsvRow —
+// the entry point the batch readers call for every row — so records,
+// counts and diagnostics match batch ingestion. Two differences remain:
+// rows are numbered by physical line, blank lines included (the batch
+// readers skip blank lines unnumbered), and no per-stream record budget
+// applies (retention bounds what a live session holds).
 //
 // Determinism contract (what kill-and-resume correctness rests on): for a
 // given (cut, limit) pair, the multiset and order of rows this reader
@@ -33,6 +38,7 @@
 #include <array>
 #include <cstddef>
 #include <string>
+#include <vector>
 
 #include "telemetry/dataset.h"
 #include "telemetry/io.h"
@@ -134,6 +140,9 @@ class TailingDatasetReader {
   std::string dir_;
   bool meta_ready_ = false;
   std::array<StreamState, kStreamCount> state_;
+  /// Read buffer every Poll/ReplayTo reuses: one allocation per reader,
+  /// not one per poll.
+  std::vector<char> block_;
 };
 
 /// File name of one stream under a dataset directory ("dci.csv", ...).

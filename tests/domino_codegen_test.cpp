@@ -9,6 +9,7 @@
 #include <fstream>
 
 #include "domino/codegen.h"
+#include "scratch_dir.h"
 
 namespace domino::analysis {
 namespace {
@@ -105,7 +106,8 @@ assert ((0, "surge_chain") in hits), hits
 assert not any(i == 1 for i, _ in hits), hits
 print("CODEGEN_OK")
 )PY";
-  auto path = std::filesystem::temp_directory_path() / "domino_codegen.py";
+  const auto path = std::filesystem::path(
+      testing_util::FreshScratchDir("codegen")) / "domino_codegen.py";
   {
     std::ofstream f(path);
     f << py;
@@ -118,8 +120,6 @@ print("CODEGEN_OK")
                      std::istreambuf_iterator<char>());
   EXPECT_EQ(rc, 0) << output;
   EXPECT_NE(output.find("CODEGEN_OK"), std::string::npos) << output;
-  std::filesystem::remove(path);
-  std::filesystem::remove(path.string() + ".out");
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "domino/runtime/live.h"
 #include "domino/runtime/supervisor.h"
 #include "domino/streaming.h"
+#include "scratch_dir.h"
 #include "sim/call_session.h"
 #include "sim/cell_config.h"
 #include "sim/live_feed.h"
@@ -32,12 +33,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Fresh scratch directory per test.
+/// Fresh scratch directory per test, private to this test process.
 std::string TempDir(const std::string& name) {
-  fs::path dir = fs::path(::testing::TempDir()) / ("live_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
+  return testing_util::FreshScratchDir("live_" + name);
 }
 
 std::string Slurp(const std::string& path) {

@@ -6,10 +6,15 @@
 // exploration side of the same contract (see DESIGN.md §10).
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/parse.h"
@@ -74,6 +79,107 @@ TEST(StrictParseTest, RangeCheckedVariantsEnforceBounds) {
   double d = 0;
   EXPECT_TRUE(ParseFiniteIn("0.5", 0.0, 1.0, d));
   EXPECT_FALSE(ParseFiniteIn("1.5", 0.0, 1.0, d));
+}
+
+/// The strict parsers' contract written out longhand over strtoll/strtod:
+/// the reference every faster parse path must reproduce bit for bit.
+bool RefInt64(std::string_view s, std::int64_t& out) {
+  if (s.empty() || s.size() > 64) return false;
+  const std::string buf(s);
+  if (buf[0] == ' ' || buf[0] == '\t') return false;
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(buf.c_str(), &end, 10);
+  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
+  out = v;
+  return true;
+}
+
+bool RefFinite(std::string_view s, double& out) {
+  if (s.empty() || s.size() > 64) return false;
+  const std::string buf(s);
+  if (buf[0] == ' ' || buf[0] == '\t') return false;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(buf.c_str(), &end);
+  if (errno != 0 || end != buf.c_str() + buf.size() || !std::isfinite(v)) {
+    return false;
+  }
+  out = v;
+  return true;
+}
+
+std::uint64_t Bits(double d) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &d, sizeof u);
+  return u;
+}
+
+/// ParseInt64 and ParseFinite agree with the reference on `s`: same
+/// verdict, same value (doubles compared by bit pattern, so -0.0 != 0.0).
+void ExpectMatchesReference(std::string_view s) {
+  std::int64_t got_i = 7, want_i = 7;
+  const bool ok_i = ParseInt64(s, got_i);
+  ASSERT_EQ(ok_i, RefInt64(s, want_i)) << "int '" << s << "'";
+  if (ok_i) {
+    ASSERT_EQ(got_i, want_i) << "int '" << s << "'";
+  }
+  double got_d = 7, want_d = 7;
+  const bool ok_d = ParseFinite(s, got_d);
+  ASSERT_EQ(ok_d, RefFinite(s, want_d)) << "double '" << s << "'";
+  if (ok_d) {
+    ASSERT_EQ(Bits(got_d), Bits(want_d)) << "double '" << s << "'";
+  }
+}
+
+TEST(StrictParseTest, DigitFastPathMatchesStrtollAndStrtodBitForBit) {
+  for (const char* s :
+       {"0", "-0", "+0", "+5", "-5", "007", "-007", "-0000", "1", "-",
+        "+", "", "--1", "-+1", "\v1", "\n1", "\f1", "\r1", " 1", "\t1",
+        "1 ", "1\v", "1e3", "1E3", "-1e3", ".5", "5.", "1.", "-.5", "0x10",
+        "1e", "12x", "x12", "1,5", "\xd9\xa3",
+        // 15 and 16 digits: the double fast path's bound (2^53 > 10^15).
+        "123456789012345", "-123456789012345", "999999999999999",
+        "1234567890123456", "-9007199254740993", "9007199254740993",
+        // 18 and 19 digits: the integer fast path's bound.
+        "123456789012345678", "-999999999999999999", "999999999999999999",
+        "1234567890123456789", "9223372036854775807", "-9223372036854775808",
+        "9223372036854775808", "-9223372036854775809", "9999999999999999999",
+        "00000000000000000001", "-0000000000000000000",
+        "1111111111111111111111111111111111111111111111111111111111111111",
+        "11111111111111111111111111111111111111111111111111111111111111111"}) {
+    ExpectMatchesReference(s);
+  }
+  // Embedded NULs are never part of a number.
+  ExpectMatchesReference(std::string_view("12\0" "3", 4));
+
+  // Seeded sweep: digit runs of every length around both bounds with
+  // optional signs, then short tokens over the full numeric alphabet.
+  std::uint64_t state = 20261017;
+  auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  for (int i = 0; i < 200'000; ++i) {
+    std::string s;
+    const auto sign = next() % 4;
+    if (sign == 1) s += '-';
+    if (sign == 2) s += '+';
+    const std::size_t len = 1 + next() % 22;
+    for (std::size_t k = 0; k < len; ++k) {
+      s += static_cast<char>('0' + next() % 10);
+    }
+    ExpectMatchesReference(s);
+  }
+  static constexpr char kAlphabet[] = "0123456789-+.eE \v\t\nx";
+  for (int i = 0; i < 200'000; ++i) {
+    std::string s;
+    const std::size_t len = next() % 8;
+    for (std::size_t k = 0; k < len; ++k) {
+      s += kAlphabet[next() % (sizeof kAlphabet - 1)];
+    }
+    ExpectMatchesReference(s);
+  }
 }
 
 // --- bounded line reading --------------------------------------------------------

@@ -32,6 +32,7 @@
 #include "domino/runtime/live.h"
 #include "domino/runtime/shard.h"
 #include "domino/streaming.h"
+#include "scratch_dir.h"
 #include "sim/call_session.h"
 #include "sim/cell_config.h"
 #include "telemetry/fault_inject.h"
@@ -475,10 +476,7 @@ TEST(FaultPipelineTest, CleanTraceReportsAreByteIdenticalWithHealth) {
 namespace fs = std::filesystem;
 
 std::string FleetTempDir(const std::string& name) {
-  fs::path dir = fs::path(::testing::TempDir()) / ("fleet_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
+  return testing_util::FreshScratchDir("fleet_" + name);
 }
 
 std::string FleetSlurp(const std::string& path) {
@@ -1613,6 +1611,50 @@ TEST(ShardTest, ClaimsAreExactlyOnceAcrossCoordinators) {
       EXPECT_EQ(box->TryClaim(ds, &err), runtime::ClaimResult::kDone);
     }
   }
+}
+
+TEST(ShardTest, ClaimRacingTheOwnersMarkDoneReportsDone) {
+  const std::string scratch = FleetTempDir("shard_done_race");
+  const std::string ds = "/data/capture_race";
+  runtime::ShardOptions sa;
+  sa.state_root = scratch;
+  sa.owner = "boxa";
+  sa.lease_ttl_ms = 60'000;
+  sa.clock = [] { return std::int64_t{5'000}; };
+  runtime::ShardCoordinator boxa(sa);
+  std::string err;
+  ASSERT_EQ(boxa.TryClaim(ds, &err), runtime::ClaimResult::kClaimed) << err;
+
+  // boxb reads its clock after the done-marker check and before the lease
+  // acquisition: boxa's MarkDone (marker write, then lease release) lands
+  // exactly in that gap.
+  bool finish_a = false;
+  runtime::ShardOptions sb = sa;
+  sb.owner = "boxb";
+  sb.clock = [&] {
+    if (finish_a) {
+      finish_a = false;
+      runtime::ShardDoneRecord rec;
+      rec.status = 1;
+      std::string merr;
+      EXPECT_TRUE(boxa.MarkDone(ds, rec, &merr)) << merr;
+    }
+    return std::int64_t{5'000};
+  };
+  runtime::ShardCoordinator boxb(sb);
+  finish_a = true;
+  EXPECT_EQ(boxb.TryClaim(ds, &err), runtime::ClaimResult::kDone) << err;
+  EXPECT_FALSE(finish_a);
+  EXPECT_FALSE(boxb.Held(ds));
+  EXPECT_EQ(boxb.held_count(), 0);
+
+  // The lease boxb took for the instant is released again: a third box
+  // finds the done marker, not a live owner.
+  runtime::ShardOptions sc = sa;
+  sc.owner = "boxc";
+  runtime::ShardCoordinator boxc(sc);
+  EXPECT_EQ(boxc.TryClaim(ds, &err), runtime::ClaimResult::kDone);
+  EXPECT_FALSE(fs::exists(boxa.LeaseDirFor(ds) + "/lease"));
 }
 
 TEST(ShardTest, GcGuardRequiresACurrentLease) {
