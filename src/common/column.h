@@ -97,10 +97,9 @@ class Column {
 
   /// Reorders the column to data[perm[0]], data[perm[1]], ...
   void Gather(const std::vector<std::uint32_t>& perm) {
-    std::vector<T> out;
-    out.reserve(perm.size());
+    std::vector<T> out(perm.size());
     const T* d = data();
-    for (std::uint32_t i : perm) out.push_back(d[i]);
+    for (std::size_t i = 0; i < perm.size(); ++i) out[i] = d[perm[i]];
     Assign(std::move(out));
   }
 

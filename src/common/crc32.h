@@ -1,5 +1,7 @@
 // CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the integrity
-// check used by the binary telemetry wire format. Table-driven, no external
+// check used by the binary telemetry wire format. Carry-less-multiply
+// folding on x86 CPUs with PCLMULQDQ (detected once from CPUID), slice-by-8
+// tables for short inputs, tails and every other CPU; no external
 // dependencies.
 #pragma once
 

@@ -14,12 +14,16 @@ double EstimateClockOffsetMs(const SessionDataset& ds,
   // any real skew-plus-path combination produces — are ignored. Records
   // need not be in send order; the estimator is order-free by design.
   constexpr double kMaxPlausibleOwdMs = 600e3;  // 10 minutes of skew.
+  std::span<const std::uint8_t> dir = ds.packets.dir.span();
+  std::span<const Time> sent = ds.packets.sent.span();
+  std::span<const Time> received = ds.packets.received.span();
+  const auto kUl = static_cast<std::uint8_t>(Direction::kUplink);
   double min_ul = 1e300, min_dl = 1e300;
-  for (const auto& p : ds.packets) {
-    if (p.lost()) continue;
-    double owd = p.one_way_delay().millis();
+  for (std::size_t i = 0; i < dir.size(); ++i) {
+    if (received[i] == Time::max()) continue;  // Lost.
+    double owd = (received[i] - sent[i]).millis();
     if (owd < -kMaxPlausibleOwdMs || owd > kMaxPlausibleOwdMs) continue;
-    if (p.dir == Direction::kUplink) {
+    if (dir[i] == kUl) {
       min_ul = std::min(min_ul, owd);
     } else {
       min_dl = std::min(min_dl, owd);

@@ -1,5 +1,6 @@
 #include "telemetry/binfmt.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -196,7 +197,7 @@ void BindColumn(Column<T>& c, const std::byte* p, std::size_t n,
     return;
   }
   std::vector<T> v(n);
-  std::memcpy(v.data(), p, n * sizeof(T));
+  if (n > 0) std::memcpy(v.data(), p, n * sizeof(T));  // data() may be null.
   c.Assign(std::move(v));
 }
 
@@ -256,6 +257,36 @@ bool ReadBlock(Cursor& cur, std::uint32_t stream_id, std::uint32_t column_id,
   return true;
 }
 
+// Enum and bool columns may hold only what the CSV parsers can produce:
+// 0/1 for directions and flags, 0-2 for the RRC and GCC states. Analysis
+// code reads these bytes with different conventions (dir == kUplink vs
+// dir == kDownlink), so an out-of-domain byte would make layers disagree.
+constexpr auto kMaxDir = static_cast<std::uint8_t>(Direction::kDownlink);
+constexpr std::uint8_t kMaxBool = 1;
+constexpr auto kMaxRrc = static_cast<std::uint8_t>(RrcState::kTransitioning);
+constexpr auto kMaxGcc = static_cast<std::uint8_t>(NetworkState::kUnderuse);
+
+bool InDomain(const Column<std::uint8_t>& c, std::uint8_t max) {
+  std::uint8_t hi = 0;
+  for (const std::uint8_t v : c.span()) hi = std::max(hi, v);
+  return hi <= max;
+}
+
+bool InDomain(const DciColumns& c) {
+  return InDomain(c.dir, kMaxDir) && InDomain(c.is_retx, kMaxBool);
+}
+bool InDomain(const GnbLogColumns& c) {
+  return InDomain(c.dir, kMaxDir) && InDomain(c.rlc_retx, kMaxBool) &&
+         InDomain(c.rrc_state, kMaxRrc);
+}
+bool InDomain(const PacketColumns& c) {
+  return InDomain(c.dir, kMaxDir) && InDomain(c.is_rtcp, kMaxBool) &&
+         InDomain(c.is_audio, kMaxBool);
+}
+bool InDomain(const StatsColumns& c) {
+  return InDomain(c.gcc_state, kMaxGcc) && InDomain(c.frozen, kMaxBool);
+}
+
 template <typename Cols>
 bool ReadStreamBlocks(Cursor& cur, StreamId id, Cols& cols,
                       const std::shared_ptr<const void>& keepalive,
@@ -268,6 +299,11 @@ bool ReadStreamBlocks(Cursor& cur, StreamId id, Cols& cols,
     ok = ReadBlock(cur, static_cast<std::uint32_t>(id), col++, c, stream_rows,
                    keepalive, stats, limits);
   });
+  if (ok && !InDomain(cols)) {
+    return Fail(stats, TelemetryErrorKind::kCorruptBinary,
+                std::string(StreamName(id)) +
+                    ": enum or bool column holds an out-of-domain byte");
+  }
   return ok;
 }
 
@@ -425,7 +461,7 @@ bool ParseDatasetBinary(const std::byte* data, std::size_t size,
     // The RNTI timeline must satisfy the TimeSeries ordering invariant;
     // enforce it here rather than assert on attacker-controlled bytes.
     std::vector<std::int64_t> t_us(h.rnti_count);
-    std::memcpy(t_us.data(), rnti_times, rnti_bytes);
+    if (rnti_bytes > 0) std::memcpy(t_us.data(), rnti_times, rnti_bytes);
     for (std::size_t i = 1; i < t_us.size(); ++i) {
       if (t_us[i] < t_us[i - 1]) {
         ds = SessionDataset{};
@@ -442,8 +478,10 @@ bool ParseDatasetBinary(const std::byte* data, std::size_t size,
     } else {
       std::vector<Time> t(h.rnti_count);
       std::vector<double> v(h.rnti_count);
-      std::memcpy(t.data(), rnti_times, rnti_bytes);
-      std::memcpy(v.data(), rnti_values, rnti_bytes);
+      if (rnti_bytes > 0) {
+        std::memcpy(t.data(), rnti_times, rnti_bytes);
+        std::memcpy(v.data(), rnti_values, rnti_bytes);
+      }
       ds.ue_rnti.AssignColumns(std::move(t), std::move(v));
     }
   }

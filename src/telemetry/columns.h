@@ -6,7 +6,7 @@
 // wire format — iterate over exactly the fields they need as contiguous
 // arrays; the record structs in records.h survive as *row views* that are
 // materialized on demand, so emitters (`push_back`) and row-oriented
-// passes (sanitizer, fault injector) keep their natural shape.
+// passes (the fault injector) keep their natural shape.
 //
 // Zero-copy ingest: a Column<T> either owns its storage (a vector) or
 // borrows a read-only span from a shared backing buffer — the arena of an
@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <iterator>
 #include <memory>
-#include <numeric>
 #include <span>
 #include <vector>
 
@@ -82,8 +81,8 @@ class RowIterator {
 };
 
 /// CRTP mixin supplying the row-compatible API on top of a Derived that
-/// implements Get(i), Append(rec), RowTime(i), ForEachColumn(visitor), and
-/// size().
+/// implements Get(i), Append(rec), RowTime(i), RowTimes() (the RowTime
+/// column as a span), ForEachColumn(visitor), and size().
 template <typename Derived, typename Record>
 class RowApi {
  public:
@@ -105,7 +104,7 @@ class RowApi {
   }
 
   /// Materializes the whole stream as row records (for row-oriented passes
-  /// like the sanitizer and the fault injector).
+  /// like the fault injector).
   [[nodiscard]] std::vector<Record> ToRows() const {
     std::vector<Record> out;
     out.reserve(d().size());
@@ -170,26 +169,6 @@ class RowApi {
     });
   }
 
-  /// Stable sort of the rows by RowTime (argsort + per-column gather).
-  void StableSortByTime() {
-    const std::size_t n = d().size();
-    std::vector<std::uint32_t> perm(n);
-    std::iota(perm.begin(), perm.end(), 0u);
-    std::stable_sort(perm.begin(), perm.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return d().RowTime(a) < d().RowTime(b);
-                     });
-    bool identity = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (perm[i] != i) {
-        identity = false;
-        break;
-      }
-    }
-    if (identity) return;
-    d().ForEachColumn([&](auto& c) { c.Gather(perm); });
-  }
-
   friend bool operator==(const Derived& a, const Derived& b) {
     if (a.size() != b.size()) return false;
     for (std::size_t i = 0; i < a.size(); ++i) {
@@ -220,6 +199,7 @@ class DciColumns : public RowApi<DciColumns, DciRecord> {
 
   [[nodiscard]] std::size_t size() const { return time.size(); }
   [[nodiscard]] Time RowTime(std::size_t i) const { return time[i]; }
+  [[nodiscard]] std::span<const Time> RowTimes() const { return time.span(); }
 
   [[nodiscard]] DciRecord Get(std::size_t i) const {
     DciRecord r;
@@ -269,6 +249,7 @@ class GnbLogColumns : public RowApi<GnbLogColumns, GnbLogRecord> {
 
   [[nodiscard]] std::size_t size() const { return time.size(); }
   [[nodiscard]] Time RowTime(std::size_t i) const { return time[i]; }
+  [[nodiscard]] std::span<const Time> RowTimes() const { return time.span(); }
 
   [[nodiscard]] GnbLogRecord Get(std::size_t i) const {
     GnbLogRecord r;
@@ -316,6 +297,7 @@ class PacketColumns : public RowApi<PacketColumns, PacketRecord> {
 
   [[nodiscard]] std::size_t size() const { return sent.size(); }
   [[nodiscard]] Time RowTime(std::size_t i) const { return sent[i]; }
+  [[nodiscard]] std::span<const Time> RowTimes() const { return sent.span(); }
 
   [[nodiscard]] PacketRecord Get(std::size_t i) const {
     PacketRecord r;
@@ -370,6 +352,7 @@ class StatsColumns : public RowApi<StatsColumns, WebRtcStatsRecord> {
 
   [[nodiscard]] std::size_t size() const { return time.size(); }
   [[nodiscard]] Time RowTime(std::size_t i) const { return time[i]; }
+  [[nodiscard]] std::span<const Time> RowTimes() const { return time.span(); }
 
   [[nodiscard]] WebRtcStatsRecord Get(std::size_t i) const {
     WebRtcStatsRecord r;

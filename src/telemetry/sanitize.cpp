@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
+#include <span>
 
 #include "telemetry/align.h"
 
@@ -10,117 +12,235 @@ namespace domino::telemetry {
 
 namespace {
 
-/// Shared sanitize pass over one record stream. The pass is columnar:
-/// filtering, stable reinsertion, and dedup are decided over the time
-/// column and an index list; record structs are materialized only inside
-/// equal-timestamp runs (dedup comparisons), and the stream is rewritten
-/// with one gather per column — or not at all when already clean, the
-/// common case for healthy captures and the binary load path.
+/// Record equality (the record's defaulted operator==) read column by
+/// column: doubles keep NaN != NaN and -0.0 == 0.0. Enum and bool columns
+/// compare as bytes, which matches the record comparison because every
+/// producer writes only in-domain bytes there (Append, the CSV parsers, and
+/// the .dtb reader's domain check).
+template <typename Cols>
+bool RowsEqual(const Cols& stream, std::size_t a, std::size_t b) {
+  bool eq = true;
+  stream.ForEachColumn([&](const auto& c) { eq = eq && c[a] == c[b]; });
+  return eq;
+}
+
+/// Sorts `rows` (ascending row indices) stably by time, i.e. by
+/// (time[row], row). Each row joins the first non-decreasing run whose tail
+/// is <= its time; run tails stay strictly decreasing, so that run is found
+/// by binary search. Run 0 (rows at or past the running maximum, usually
+/// the bulk) is compacted in place at the front of `rows`; the other runs
+/// are merged pairwise, the two shortest first, and the result is merged
+/// into `rows` from the back. O(n log k) for k runs: a clean capture's
+/// packets, in arrival order, form 2-3 send-ordered runs; a faulted stream
+/// adds a few short runs of late records.
+void StableTimeOrder(std::span<const Time> time,
+                     std::vector<std::uint32_t>& rows) {
+  auto before = [time](std::uint32_t a, std::uint32_t b) {
+    return time[a] < time[b] || (time[a] == time[b] && a < b);
+  };
+  std::vector<Time> tails;  // tails[r]: last time of run r.
+  std::vector<std::vector<std::uint32_t>> runs;  // runs[r - 1]: run r > 0.
+  std::size_t head = 0;  // Run 0 is rows[0, head).
+  for (const std::uint32_t row : rows) {
+    const Time t = time[row];
+    if (tails.empty() || tails[0] <= t) {
+      if (tails.empty()) tails.emplace_back();
+      tails[0] = t;
+      rows[head++] = row;  // head <= the read position: safe in place.
+      continue;
+    }
+    const auto r = static_cast<std::size_t>(
+        std::partition_point(tails.begin(), tails.end(),
+                             [t](Time tail) { return tail > t; }) -
+        tails.begin());
+    if (r == tails.size()) {
+      tails.emplace_back();
+      runs.emplace_back();
+    }
+    tails[r] = t;
+    runs[r - 1].push_back(row);
+  }
+  if (runs.empty()) return;
+
+  // Min-heap of run lengths: merging the two shortest runs first keeps the
+  // long ones from being copied once per merge level.
+  auto longer = [&](std::size_t a, std::size_t b) {
+    return runs[a].size() > runs[b].size();
+  };
+  std::vector<std::size_t> heap(runs.size());
+  std::iota(heap.begin(), heap.end(), std::size_t{0});
+  std::make_heap(heap.begin(), heap.end(), longer);
+  while (heap.size() > 1) {
+    std::pop_heap(heap.begin(), heap.end(), longer);
+    const std::size_t a = heap.back();
+    heap.pop_back();
+    std::pop_heap(heap.begin(), heap.end(), longer);
+    const std::size_t b = heap.back();
+    std::vector<std::uint32_t> merged(runs[a].size() + runs[b].size());
+    std::merge(runs[a].begin(), runs[a].end(), runs[b].begin(),
+               runs[b].end(), merged.begin(), before);
+    runs[a] = {};
+    runs[b] = std::move(merged);
+    std::push_heap(heap.begin(), heap.end(), longer);
+  }
+
+  // Merge from the back: the write position never passes the unread part
+  // of run 0. Keys are unique, so there are no ties to break.
+  const std::vector<std::uint32_t>& rest = runs[heap[0]];
+  std::size_t i = head;
+  std::size_t j = rest.size();
+  std::size_t w = rows.size();
+  while (j > 0) {
+    if (i > 0 && before(rest[j - 1], rows[i - 1])) {
+      rows[--w] = rows[--i];
+    } else {
+      rows[--w] = rest[--j];
+    }
+  }
+}
+
+/// Rewrites every column as rows[0], rows[1], ... unless `rows` is the
+/// identity (0, 1, ..., size() - 1).
+template <typename Cols>
+void GatherRows(Cols& stream, const std::vector<std::uint32_t>& rows) {
+  bool identity = rows.size() == stream.size();
+  for (std::size_t i = 0; identity && i < rows.size(); ++i) {
+    identity = rows[i] == i;
+  }
+  if (!identity) stream.ForEachColumn([&](auto& c) { c.Gather(rows); });
+}
+
+/// Shared sanitize pass over one record stream, over its time column
+/// (`RowTimes`: send time for packets, record time elsewhere).
+///
+/// The first pass walks the clean prefix: rows in range, in time order,
+/// and unlike every earlier row of their equal-timestamp run. A clean
+/// stream — the common case for healthy captures and the binary load path
+/// — ends there, with no index list built and no column touched. From the
+/// first out-of-range, out-of-order or duplicate row on, kept row indices
+/// are collected, stably re-sorted by time if needed, deduplicated inside
+/// equal-timestamp runs (column-wise), and every column is gathered once.
 ///
 /// `time_ordered` says the stream's canonical on-disk order is its
 /// timestamp (DCIs, stats, gNB log): displaced records then count as
 /// reordered and stale ones (beyond the reorder window) are dropped.
 /// Packet records are canonically in *arrival* order — send-time
 /// displacement is normal there, so they are sorted without counting.
-/// The ordering timestamp is the stream's `RowTime` (send time for
-/// packets, record time elsewhere).
 template <typename Cols>
 void SanitizeStream(Cols& stream, StreamHealth& h,
                     const SanitizeOptions& opts, Time begin, Time end,
                     bool have_range, bool time_ordered) {
   const std::size_t n = stream.size();
   h.rows_in = n;
+  const Time lo = begin - opts.range_slack;
+  const Time hi = end + opts.range_slack;
+  auto out_of_range = [&](Time t) { return have_range && (t < lo || t > hi); };
 
-  // Range/staleness filter over the time column only.
-  std::vector<std::uint32_t> kept;
-  kept.reserve(n);
-  bool time_sorted = true;
-  Time max_seen{0};
-  bool any = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Time t = stream.RowTime(i);
-    if (have_range &&
-        (t < begin - opts.range_slack || t > end + opts.range_slack)) {
-      ++h.out_of_range;
+  std::span<const Time> time = stream.RowTimes();
+  std::size_t first = 0;      // First row that needs repair.
+  std::size_t run_start = 0;  // Start of the current equal-timestamp run.
+  for (; first < n; ++first) {
+    const Time t = time[first];
+    if (out_of_range(t)) break;
+    if (first == 0) continue;
+    if (t < time[first - 1]) break;
+    if (t != time[first - 1]) {
+      run_start = first;
       continue;
     }
-    if (any && t < max_seen) {
-      if (time_ordered) {
-        if (max_seen - t > opts.reorder_window) {
-          ++h.late_dropped;
-          continue;
-        }
-        ++h.reordered;
-      }
-      time_sorted = false;
-    }
-    if (!any || t > max_seen) max_seen = t;
-    any = true;
-    kept.push_back(static_cast<std::uint32_t>(i));
-  }
-
-  // Stable reinsertion of late-but-in-window records.
-  if (!time_sorted) {
-    std::stable_sort(kept.begin(), kept.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return stream.RowTime(a) < stream.RowTime(b);
-                     });
-  }
-
-  // Exact duplicates now sit inside an equal-timestamp run; compare each
-  // record against the others in its run (runs are tiny in practice, so
-  // materializing rows here is cheap).
-  std::vector<std::uint32_t> unique;
-  unique.reserve(kept.size());
-  std::size_t run_start = 0;
-  for (std::size_t i = 0; i < kept.size(); ++i) {
-    if (i > 0 && stream.RowTime(kept[i]) != stream.RowTime(kept[i - 1])) {
-      run_start = unique.size();
-    }
     bool dup = false;
-    for (std::size_t j = run_start; j < unique.size(); ++j) {
-      if (stream.Get(unique[j]) == stream.Get(kept[i])) {
-        dup = true;
-        break;
-      }
+    for (std::size_t j = run_start; j < first && !dup; ++j) {
+      dup = RowsEqual(stream, j, first);
     }
-    if (dup) {
-      ++h.duplicates;
-    } else {
-      unique.push_back(kept[i]);
-    }
+    if (dup) break;
   }
 
-  bool identity = unique.size() == n;
-  for (std::size_t i = 0; identity && i < n; ++i) {
-    identity = unique[i] == i;
+  if (first < n) {
+    // Range/staleness filter over the rest of the time column.
+    std::vector<std::uint32_t> kept;
+    kept.reserve(n);
+    kept.resize(first);
+    std::iota(kept.begin(), kept.end(), 0u);
+    bool time_sorted = true;
+    bool any = first > 0;
+    Time max_seen = any ? time[first - 1] : Time{0};
+    for (std::size_t i = first; i < n; ++i) {
+      const Time t = time[i];
+      if (out_of_range(t)) {
+        ++h.out_of_range;
+        continue;
+      }
+      if (any && t < max_seen) {
+        if (time_ordered) {
+          if (max_seen - t > opts.reorder_window) {
+            ++h.late_dropped;
+            continue;
+          }
+          ++h.reordered;
+        }
+        time_sorted = false;
+      }
+      if (!any || t > max_seen) max_seen = t;
+      any = true;
+      kept.push_back(static_cast<std::uint32_t>(i));
+    }
+
+    // Stable reinsertion of late-but-in-window records.
+    if (!time_sorted) StableTimeOrder(time, kept);
+
+    // Exact duplicates now sit inside an equal-timestamp run; compare each
+    // record against the kept ones of its run.
+    std::vector<std::uint32_t> unique;
+    unique.reserve(kept.size());
+    run_start = 0;
+    for (std::size_t i = 0; i < kept.size(); ++i) {
+      if (i > 0 && time[kept[i]] != time[kept[i - 1]]) {
+        run_start = unique.size();
+      }
+      bool dup = false;
+      for (std::size_t j = run_start; j < unique.size() && !dup; ++j) {
+        dup = RowsEqual(stream, unique[j], kept[i]);
+      }
+      if (dup) {
+        ++h.duplicates;
+      } else {
+        unique.push_back(kept[i]);
+      }
+    }
+    GatherRows(stream, unique);
+    time = stream.RowTimes();
   }
-  if (!identity) {
-    stream.ForEachColumn([&](auto& c) { c.Gather(unique); });
-  }
-  h.rows_kept = unique.size();
+  h.rows_kept = stream.size();
 
   // Coverage: gaps above the threshold between consecutive records and at
-  // both session edges.
+  // both session edges. The stream is time-sorted by now, so the gaps are
+  // the steps between consecutive clamped times; the largest is found
+  // first, and the gaps themselves only listed when one exceeds the
+  // threshold.
   if (!have_range) return;
   Duration duration = end - begin;
   if (duration <= Duration{0}) return;
-  std::int64_t uncovered = 0;
-  Time prev = begin;
-  auto account = [&](Time t) {
-    Duration gap = t - prev;
-    if (gap > h.max_gap) h.max_gap = gap;
-    if (gap > opts.gap_threshold) {
-      ++h.gap_count;
-      h.gaps.emplace_back(prev, t);
-      uncovered += gap.micros();
+  auto for_each_gap = [&](auto&& fn) {
+    Time prev = begin;
+    for (const Time t : time) {
+      const Time c = std::clamp(t, begin, end);
+      fn(prev, c);
+      prev = c;
     }
-    prev = std::max(prev, t);
+    fn(prev, end);
   };
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    account(std::clamp(stream.RowTime(i), begin, end));
+  Duration max_gap{0};
+  for_each_gap([&](Time a, Time b) { max_gap = std::max(max_gap, b - a); });
+  h.max_gap = max_gap;
+  std::int64_t uncovered = 0;
+  if (max_gap > opts.gap_threshold) {
+    for_each_gap([&](Time a, Time b) {
+      if (b - a <= opts.gap_threshold) return;
+      ++h.gap_count;
+      h.gaps.emplace_back(a, b);
+      uncovered += (b - a).micros();
+    });
   }
-  account(end);
   h.coverage = 1.0 - std::min(1.0, static_cast<double>(uncovered) /
                                        static_cast<double>(duration.micros()));
 }
@@ -228,7 +348,10 @@ SanitizeReport SanitizeDataset(SessionDataset& ds,
       report.skew_corrected = true;
       // The correction shifts remote-stamped send times; restore sort
       // order (stable, by send time — PacketColumns::RowTime).
-      ds.packets.StableSortByTime();
+      std::vector<std::uint32_t> rows(ds.packets.size());
+      std::iota(rows.begin(), rows.end(), 0u);
+      StableTimeOrder(ds.packets.RowTimes(), rows);
+      GatherRows(ds.packets, rows);
     } else {
       report.skew_suspect = true;
     }

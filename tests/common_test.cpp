@@ -1,9 +1,15 @@
 // Unit tests for the foundation library: time, RNG, time series, statistics,
-// event queue, CSV, and table rendering.
+// event queue, CSV, table rendering, and CRC-32.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/crc32.h"
+#include "common/crc32_kernels.h"
 #include "common/csv.h"
 #include "common/event_queue.h"
 #include "common/rng.h"
@@ -401,6 +407,94 @@ TEST(TextTableTest, ShortRowPadded) {
   TextTable t({"a", "b", "c"});
   t.AddRow({"x"});
   EXPECT_NO_THROW(t.Render());
+}
+
+// --- CRC-32 -----------------------------------------------------------------
+
+/// CRC-32 straight from its definition, one bit at a time (reflected
+/// polynomial 0xEDB88320, pre- and post-inverted): the reference every
+/// kernel must match.
+std::uint32_t BitwiseCrc32(const unsigned char* p, std::size_t n,
+                           std::uint32_t seed) {
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? (c >> 1) ^ 0xEDB88320u : c >> 1;
+  }
+  return ~c;
+}
+
+std::vector<unsigned char> RandomBytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<unsigned char> out(n);
+  for (auto& b : out) b = static_cast<unsigned char>(rng.UniformInt(0, 255));
+  return out;
+}
+
+using Crc32Fn = std::uint32_t (*)(const void*, std::size_t, std::uint32_t);
+
+/// The dispatching entry point plus each kernel called directly, so the
+/// table kernel stays covered on CPUs where Crc32 picks the folding one.
+std::vector<std::pair<std::string, Crc32Fn>> Crc32Kernels() {
+  std::vector<std::pair<std::string, Crc32Fn>> k = {
+      {"Crc32", &Crc32}, {"table", &crc32_internal::Crc32Table}};
+  if (crc32_internal::ClmulAvailable()) {
+    k.emplace_back("clmul", &crc32_internal::Crc32Clmul);
+  }
+  return k;
+}
+
+TEST(Crc32Test, KnownCheckValue) {
+  const std::string check = "123456789";
+  for (const auto& [name, crc] : Crc32Kernels()) {
+    EXPECT_EQ(crc(check.data(), check.size(), 0), 0xCBF43926u) << name;
+  }
+}
+
+TEST(Crc32Test, EveryKernelMatchesBitwiseAtEveryLengthAndAlignment) {
+  const std::vector<unsigned char> buf = RandomBytes(320 + 16, 1);
+  Rng rng(2);
+  for (std::size_t align = 0; align < 16; ++align) {
+    for (std::size_t n = 0; n <= 320; ++n) {
+      const unsigned char* p = buf.data() + align;
+      const auto random_seed =
+          static_cast<std::uint32_t>(rng.UniformInt(0, 0xFFFFFFFF));
+      for (std::uint32_t seed : {0u, random_seed}) {
+        const std::uint32_t want = BitwiseCrc32(p, n, seed);
+        for (const auto& [name, crc] : Crc32Kernels()) {
+          ASSERT_EQ(crc(p, n, seed), want) << name << " length " << n
+                                           << " alignment " << align
+                                           << " seed " << seed;
+        }
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, ChunkedEqualsWholeAcrossBlockBoundaries) {
+  const std::vector<unsigned char> buf = RandomBytes(1000, 3);
+  const std::uint32_t whole = BitwiseCrc32(buf.data(), buf.size(), 0);
+  std::vector<std::size_t> splits;
+  for (std::size_t edge : {16, 32, 48, 64, 128, 192, 256, 512, 936, 984}) {
+    for (std::size_t d : {edge - 1, edge, edge + 1}) splits.push_back(d);
+  }
+  splits.push_back(0);
+  splits.push_back(buf.size());
+  for (const auto& [name, crc] : Crc32Kernels()) {
+    for (std::size_t split : splits) {
+      const std::uint32_t head = crc(buf.data(), split, 0);
+      EXPECT_EQ(crc(buf.data() + split, buf.size() - split, head), whole)
+          << name << " split at " << split;
+    }
+  }
+}
+
+TEST(Crc32Test, MultiMebibyteBuffer) {
+  const std::vector<unsigned char> buf = RandomBytes((5 << 20) + 13, 4);
+  const std::uint32_t want = BitwiseCrc32(buf.data(), buf.size(), 0);
+  for (const auto& [name, crc] : Crc32Kernels()) {
+    EXPECT_EQ(crc(buf.data(), buf.size(), 0), want) << name;
+  }
 }
 
 }  // namespace

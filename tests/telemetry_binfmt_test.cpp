@@ -430,5 +430,83 @@ TEST(BinFmt, UnsortedRntiTimelineIsRejected) {
   EXPECT_NE(stats.errors[0].message.find("time-ordered"), std::string::npos);
 }
 
+/// Overwrites the first payload byte of block (stream, column) in a valid
+/// image and re-seals that block's payload and header CRCs, so only
+/// checks beyond the checksums can reject the result.
+std::string PatchBlockByte(std::string img, StreamId stream,
+                           std::uint32_t column, std::uint8_t value) {
+  auto u32 = [&](std::size_t off) {
+    std::uint32_t v = 0;
+    std::memcpy(&v, img.data() + off, sizeof(v));
+    return v;
+  };
+  auto pad8 = [](std::size_t n) { return (n + 7) & ~std::size_t{7}; };
+  const std::uint32_t cell_len = u32(36);
+  const std::uint32_t rnti_count = u32(40);
+  const std::uint32_t block_count = u32(44);
+  std::size_t off = 48 + pad8(cell_len) + 16 * std::size_t{rnti_count} + 8;
+  for (std::uint32_t b = 0; b < block_count; ++b) {
+    std::uint64_t rows = 0;
+    std::memcpy(&rows, img.data() + off + 16, sizeof(rows));
+    const std::size_t bytes = static_cast<std::size_t>(rows) * u32(off + 12);
+    if (u32(off) == static_cast<std::uint32_t>(stream) &&
+        u32(off + 4) == column) {
+      EXPECT_GT(bytes, 0u);
+      img[off + 32] = static_cast<char>(value);
+      const std::uint32_t payload_crc = Crc32(img.data() + off + 32, bytes);
+      std::memcpy(img.data() + off + 24, &payload_crc, 4);
+      const std::uint32_t header_crc = Crc32(img.data() + off, 28);
+      std::memcpy(img.data() + off + 28, &header_crc, 4);
+      return img;
+    }
+    off += 32 + pad8(bytes);
+  }
+  ADD_FAILURE() << "no block " << static_cast<int>(stream) << "/" << column;
+  return img;
+}
+
+TEST(BinFmt, OutOfDomainEnumAndBoolBytesAreRejected) {
+  // Every enum and bool column, with its largest valid byte (accepted) and
+  // the next one (rejected). The CSV parsers can only produce in-domain
+  // values, and layers read these bytes with different conventions: a
+  // packet with dir = 2 would count as uplink to the derived trace but as
+  // downlink to the clock-offset estimator.
+  struct Case {
+    StreamId stream;
+    std::uint32_t column;
+    std::uint8_t max;
+  };
+  const Case cases[] = {
+      {StreamId::kDci, 2, 1},          {StreamId::kDci, 6, 1},
+      {StreamId::kGnbLog, 2, 1},       {StreamId::kGnbLog, 4, 1},
+      {StreamId::kGnbLog, 5, 2},       {StreamId::kPackets, 1, 1},
+      {StreamId::kPackets, 5, 1},      {StreamId::kPackets, 6, 1},
+      {StreamId::kStatsUe, 9, 2},      {StreamId::kStatsUe, 12, 1},
+      {StreamId::kStatsRemote, 9, 2},  {StreamId::kStatsRemote, 12, 1},
+  };
+  const std::string img = SerializeDatasetBinary(MakeDataset());
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(StreamName(c.stream)) + " column " +
+                 std::to_string(c.column));
+    SessionDataset ok;
+    ReadStats ok_stats;
+    EXPECT_TRUE(ParseImage(PatchBlockByte(img, c.stream, c.column, c.max), ok,
+                           ok_stats));
+    for (int bad : {c.max + 1, 255}) {
+      SessionDataset out;
+      ReadStats stats;
+      ASSERT_FALSE(ParseImage(
+          PatchBlockByte(img, c.stream, c.column,
+                         static_cast<std::uint8_t>(bad)),
+          out, stats));
+      ASSERT_FALSE(stats.errors.empty());
+      EXPECT_EQ(stats.errors[0].kind, TelemetryErrorKind::kCorruptBinary);
+      EXPECT_NE(stats.errors[0].message.find("out-of-domain"),
+                std::string::npos);
+      EXPECT_TRUE(out.packets.empty());  // No partial data.
+    }
+  }
+}
+
 }  // namespace
 }  // namespace domino::telemetry

@@ -41,6 +41,39 @@ if ! python3 -m json.tool "$tmp" > /dev/null 2>&1; then
   exit 1
 fi
 
+# Stamp what the numbers were measured on: core count, the build
+# directory's CMAKE_BUILD_TYPE, and the source revision (dirty = uncommitted
+# changes to tracked files). google-benchmark's own context describes the
+# benchmark library's build, not Domino's.
+nproc_n=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)
+build_type=$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' \
+  "$build_dir/CMakeCache.txt" 2>/dev/null | head -n 1)
+git_sha=$(git -C "$repo_root" rev-parse HEAD 2>/dev/null || echo unknown)
+git_dirty=$(git -C "$repo_root" status --porcelain --untracked-files=no \
+  2>/dev/null | head -n 1)
+if ! python3 - "$tmp" "$nproc_n" "${build_type:-unknown}" "$git_sha" \
+  "${git_dirty:+dirty}" <<'PY'
+import json
+import sys
+
+path, nproc, build_type, sha, dirty = sys.argv[1:]
+with open(path) as f:
+    report = json.load(f)
+report["context"].update({
+    "nproc": int(nproc),
+    "cmake_build_type": build_type,
+    "git_sha": sha,
+    "git_dirty": dirty == "dirty",
+})
+with open(path, "w") as f:
+    json.dump(report, f, indent=2)
+    f.write("\n")
+PY
+then
+  echo "error: could not stamp the benchmark output; $out left untouched." >&2
+  exit 1
+fi
+
 mv "$tmp" "$out"
 trap - EXIT
 echo "wrote $out"
