@@ -26,11 +26,6 @@ struct DominoConfig {
   /// batches): 0 = std::thread::hardware_concurrency(), 1 = sequential.
   /// Results are merged in window order and are identical at any width.
   int threads = 0;
-  /// How config files are linted before analysis (domino-lint, lint/lint.h):
-  /// kOff = legacy first-error behaviour, kPermissive = report everything
-  /// but only errors block, kStrict = warnings block too.
-  enum class LintMode { kOff, kPermissive, kStrict };
-  LintMode lint = LintMode::kPermissive;
   /// Graceful degradation threshold: a chain whose nodes' required streams
   /// cover less than this fraction of the window (per the sanitizer's
   /// TraceQuality annotations) is marked "insufficient evidence" instead of

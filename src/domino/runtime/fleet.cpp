@@ -15,7 +15,7 @@
 #include <thread>
 
 #include "domino/report.h"
-#include "domino/runtime/live.h"
+#include "domino/runtime/checkpoint.h"
 
 #if !defined(_WIN32)
 #include <cerrno>
@@ -44,6 +44,48 @@ long BackoffDelayMs(int next_attempt, long base_ms, long cap_ms) {
   }
   if (cap_ms > 0) delay = std::min(delay, cap_ms);
   return delay;
+}
+
+std::vector<std::string> ChildArgv(const FleetOptions& fleet,
+                                   const SessionSpec& spec,
+                                   const LiveOptions& o,
+                                   const std::string& fence_lease,
+                                   std::uint64_t fence_token) {
+  std::vector<std::string> args = {fleet.exec_path, "live", spec.dataset_dir,
+                                   "--state", spec.state_dir, "--quiet"};
+  const auto add = [&args](const char* flag, const std::string& value) {
+    args.push_back(flag);
+    args.push_back(value);
+  };
+  if (o.max_backlog_windows > 0) {
+    add("--max-backlog", std::to_string(o.max_backlog_windows));
+  }
+  if (o.chaos_crash_after > 0) {
+    add("--chaos-crash", std::to_string(o.chaos_crash_after));
+  }
+  if (o.chaos_fail_after > 0) {
+    add("--chaos-fail", std::to_string(o.chaos_fail_after));
+  }
+  if (o.chaos_wedge_after > 0) {
+    add("--chaos-wedge", std::to_string(o.chaos_wedge_after));
+  }
+  if (o.disk_fault.kind != DiskFaultSpec::Kind::kNone) {
+    const char* kind =
+        o.disk_fault.kind == DiskFaultSpec::Kind::kEnospc   ? "enospc"
+        : o.disk_fault.kind == DiskFaultSpec::Kind::kEio    ? "eio"
+        : o.disk_fault.kind == DiskFaultSpec::Kind::kRename ? "rename"
+        : o.disk_fault.kind == DiskFaultSpec::Kind::kFsync  ? "fsync"
+                                                            : "short";
+    add("--chaos-disk",
+        std::string(kind) + ":" + std::to_string(o.disk_fault.at_write));
+  }
+  if (!fence_lease.empty()) {
+    add("--fence-lease", fence_lease);
+    add("--fence-token", std::to_string(fence_token));
+  }
+  add("--max-records", std::to_string(o.input.max_records));
+  args.insert(args.end(), fleet.child_args.begin(), fleet.child_args.end());
+  return args;
 }
 
 long EffectiveBacklogWindows(long session_budget, long global_budget,
@@ -83,6 +125,39 @@ namespace {
 
 const char* IsolateName(IsolationMode m) {
   return m == IsolationMode::kProcess ? "process" : "thread";
+}
+
+/// Best-effort progress of a session from the last good checkpoint in
+/// `state_dir`: the summary of a process-isolation child (whose own summary
+/// died with it) or the partial progress of a failed session. False (and
+/// `out` untouched) when no readable checkpoint exists.
+bool LoadProgressFromState(const std::string& state_dir, LiveSummary* out,
+                           std::int64_t* checkpointed_to_us) {
+  // An empty expected fingerprint accepts any config's checkpoint: this is
+  // a read-only progress probe, not a resume, so mixing schedules is not a
+  // risk. The checksum still rejects torn/corrupt files.
+  LiveCheckpoint cp;
+  std::string error;
+  CheckpointFailure failure = CheckpointFailure::kNone;
+  if (!LoadCheckpoint(state_dir + "/live.ckpt", /*expected_fingerprint=*/"",
+                      &cp, &error, &failure, InputLimits{})) {
+    return false;
+  }
+  LiveSummary sum;
+  sum.polls = cp.poll_count;
+  sum.windows = cp.windows;
+  sum.chains = cp.chains;
+  sum.insufficient_chains = cp.insufficient;
+  sum.resets = cp.resets;
+  sum.checkpoints = cp.checkpoints_written;
+  for (const ShedRange& s : cp.shed) sum.shed_windows += s.windows;
+  for (const StallState& s : cp.stalls) {
+    if (s.stalled) ++sum.stalled_streams;
+  }
+  sum.chains_path = state_dir + "/chains.jsonl";
+  *out = sum;
+  *checkpointed_to_us = cp.next_begin.micros();
+  return true;
 }
 
 /// What one attempt of one session produced.
@@ -369,60 +444,20 @@ AttemptResult FleetSupervisor::Impl::RunAttemptProcess(std::size_t idx) {
   return res;
 #else
   const SessionSpec& spec = specs[idx];
-  const LiveOptions& o = session_opts[idx];
   std::error_code ec;
   fs::create_directories(spec.state_dir, ec);
 
   // Child argv and the log path are fully materialised before fork():
   // between fork and exec in a multithreaded parent only async-signal-safe
   // calls are allowed (open/dup2/execv/_exit — no allocation).
-  std::vector<std::string> args;
-  args.push_back(fleet.exec_path);
-  args.push_back("live");
-  args.push_back(spec.dataset_dir);
-  args.push_back("--state");
-  args.push_back(spec.state_dir);
-  args.push_back("--quiet");
-  if (o.max_backlog_windows > 0) {
-    args.push_back("--max-backlog");
-    args.push_back(std::to_string(o.max_backlog_windows));
+  std::string lease_dir;
+  std::uint64_t token = 0;
+  if (fleet.shard_binding &&
+      !fleet.shard_binding(spec.dataset_dir, &lease_dir, &token)) {
+    lease_dir.clear();
   }
-  if (o.chaos_crash_after > 0) {
-    args.push_back("--chaos-crash");
-    args.push_back(std::to_string(o.chaos_crash_after));
-  }
-  if (o.chaos_fail_after > 0) {
-    args.push_back("--chaos-fail");
-    args.push_back(std::to_string(o.chaos_fail_after));
-  }
-  if (o.chaos_wedge_after > 0) {
-    args.push_back("--chaos-wedge");
-    args.push_back(std::to_string(o.chaos_wedge_after));
-  }
-  if (o.disk_fault.kind != DiskFaultSpec::Kind::kNone) {
-    const char* kind =
-        o.disk_fault.kind == DiskFaultSpec::Kind::kEnospc   ? "enospc"
-        : o.disk_fault.kind == DiskFaultSpec::Kind::kEio    ? "eio"
-        : o.disk_fault.kind == DiskFaultSpec::Kind::kRename ? "rename"
-        : o.disk_fault.kind == DiskFaultSpec::Kind::kFsync  ? "fsync"
-                                                            : "short";
-    args.push_back("--chaos-disk");
-    args.push_back(std::string(kind) + ":" +
-                   std::to_string(o.disk_fault.at_write));
-  }
-  if (fleet.shard_binding) {
-    std::string lease_dir;
-    std::uint64_t token = 0;
-    if (fleet.shard_binding(spec.dataset_dir, &lease_dir, &token)) {
-      args.push_back("--fence-lease");
-      args.push_back(lease_dir);
-      args.push_back("--fence-token");
-      args.push_back(std::to_string(token));
-    }
-  }
-  args.push_back("--max-records");
-  args.push_back(std::to_string(o.input.max_records));
-  for (const std::string& a : fleet.child_args) args.push_back(a);
+  std::vector<std::string> args =
+      ChildArgv(fleet, spec, session_opts[idx], lease_dir, token);
   std::vector<char*> argv;
   argv.reserve(args.size() + 1);
   for (std::string& a : args) argv.push_back(a.data());

@@ -52,9 +52,47 @@
 #include "common/diskfault.h"
 #include "common/parse.h"
 #include "domino/graph.h"
-#include "domino/runtime/supervisor.h"
+#include "domino/runtime/live.h"
 
 namespace domino::runtime {
+
+/// One session of a fleet: a dataset directory, its state directory and
+/// the tenant whose budgets it draws on.
+struct SessionSpec {
+  std::string dataset_dir;
+  std::string state_dir;  ///< Empty = DefaultStateDir(dataset_dir).
+  std::string tenant;     ///< Budget group ("" = untenanted).
+};
+
+/// The supervision record of one session: its terminal state, the attempts
+/// it consumed and the progress it made.
+struct SessionOutcome {
+  std::string dataset_dir;
+  std::string tenant;
+  bool ok = false;
+  std::string error;    ///< Why the session failed (ok == false).
+  LiveSummary summary;  ///< Full summary when ok; best-effort partial
+                        ///< progress reconstructed from the last good
+                        ///< checkpoint when not (see has_partial).
+  int attempts = 0;        ///< Attempts consumed, including the final one.
+  bool quarantined = false;       ///< Attempt budget exhausted.
+  bool deadline_exceeded = false;  ///< Any attempt hit the wall-clock deadline.
+  int exit_code = -1;      ///< Process isolation: child exit code (-1 = n/a).
+  int term_signal = 0;     ///< Process isolation: signal that killed the child.
+  bool has_partial = false;  ///< `summary` carries checkpoint-derived partial
+                             ///< progress for a failed session.
+  /// Graceful drain stopped this session mid-run (fleet daemon mode). Not
+  /// a failure: the checkpoint is intact and a restarted fleet resumes it
+  /// to the same final outcome an undisturbed run would have produced.
+  bool suspended = false;
+  /// Sharded fleet mode: the session's lease was stolen mid-attempt (this
+  /// box was presumed dead) and the fencing check stopped every further
+  /// write. Terminal here but not a fleet failure — the new owner finishes
+  /// the work; no published file was touched by the fenced attempt.
+  bool fenced = false;
+  /// Trace time the last good checkpoint covers (µs since epoch; 0 = none).
+  std::int64_t checkpointed_to_us = 0;
+};
 
 /// How a session attempt is executed.
 enum class IsolationMode {
@@ -120,9 +158,8 @@ struct FleetOptions {
   /// when isolate == kProcess.
   std::string exec_path;
   /// Extra argv appended to every process-isolation child command (the CLI
-  /// forwards its own detector/live flags here so child fingerprints match
-  /// across attempts). The supervisor itself appends the per-session flags:
-  /// --state, --max-backlog, --max-records and the chaos hooks.
+  /// forwards the user's session flags here verbatim so child fingerprints
+  /// match across attempts). ChildArgv() adds the per-session flags.
   std::vector<std::string> child_args;
   /// Per-tenant budgets, keyed by SessionSpec::tenant ("" = untenanted).
   std::map<std::string, TenantBudget> tenants;
@@ -193,6 +230,18 @@ struct FleetReport {
   /// of the byte-compared JSON.
   std::vector<double> session_latency_s;
 };
+
+/// The argv of one process-isolation attempt of `spec` (state_dir
+/// resolved) run with the effective options `o`: `<exec_path> live
+/// <dataset> --state <dir> --quiet`, the per-session budgets and chaos
+/// hooks, `--fence-lease`/`--fence-token` when `fence_lease` is non-empty,
+/// then FleetOptions::child_args. Built in full before fork(), so the child
+/// only calls async-signal-safe functions before it execs.
+std::vector<std::string> ChildArgv(const FleetOptions& fleet,
+                                   const SessionSpec& spec,
+                                   const LiveOptions& o,
+                                   const std::string& fence_lease,
+                                   std::uint64_t fence_token);
 
 /// Deterministic backoff schedule: delay before attempt `next_attempt`
 /// (2-based; the first retry). base * 2^(next_attempt-2), capped.

@@ -51,7 +51,7 @@
 #include <vector>
 
 #include "common/lease.h"
-#include "domino/runtime/supervisor.h"
+#include "domino/runtime/fleet.h"
 
 namespace domino::runtime {
 

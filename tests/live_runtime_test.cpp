@@ -2,9 +2,9 @@
 // checkpoint format durability, kill-and-resume byte determinism (via the
 // CLI's --crash-after SIGKILL hook), resume across dataset growth, bounded
 // memory through retention + backpressure shedding, watchdog degradation
-// for stalled streams, multi-session isolation, and the streaming-detector
-// regressions the runtime depends on (counted cursor resets, ordered
-// catch-up fan-out).
+// for stalled streams, SIGTERM drain, fleet isolation of a poisoned
+// session, and the streaming-detector regressions the runtime depends on
+// (counted cursor resets, ordered catch-up fan-out).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -19,7 +19,7 @@
 
 #include "domino/runtime/checkpoint.h"
 #include "domino/runtime/live.h"
-#include "domino/runtime/supervisor.h"
+#include "domino/runtime/fleet.h"
 #include "domino/streaming.h"
 #include "scratch_dir.h"
 #include "sim/call_session.h"
@@ -387,6 +387,75 @@ TEST(KillResumeTest, SigkillAtCheckpointResumesByteIdentical) {
   EXPECT_EQ(Slurp(state + "/live_report.json"),
             Slurp(baseline + "/live_report.json"));
 }
+
+/// Starts `domino live <args>` with stdout to `out`, sends SIGTERM once the
+/// runner is up (its chain log exists) and returns the exit status. A run
+/// still alive 5 s after the signal is SIGKILLed (status 137), so a runner
+/// that ignores the signal fails the caller instead of hanging it.
+int LiveUntilSigterm(const std::string& args, const std::string& state,
+                     const std::string& out) {
+  const std::string script =
+      std::string(DOMINO_BINARY) + " live " + args + " --state " + state +
+      " > " + out + " 2>/dev/null & pid=$!; i=0; while [ ! -e " + state +
+      "/chains.jsonl ] && [ $i -lt 400 ]; do sleep 0.025; i=$((i+1)); done;"
+      " kill -TERM $pid; i=0;"
+      " while kill -0 $pid 2>/dev/null && [ $i -lt 100 ]; do sleep 0.05;"
+      " i=$((i+1)); done; kill -KILL $pid 2>/dev/null; wait $pid";
+  const int status = std::system(script.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(LiveDrainTest, SigtermDrainsFollowRunOfAGrowingCapture) {
+  const std::string full = TempDir("drain_full");
+  sim::LiveFeedWriter(SharedSession(), full).WriteAll();
+  const std::string baseline = TempDir("drain_baseline");
+  ASSERT_EQ(RunCli("live " + full + " --quiet --state " + baseline), 0);
+
+  // A capture its recorder has written only half of, tailed with --follow,
+  // which never ends on its own: SIGTERM must drain it (exit 75).
+  const std::string grow = TempDir("drain_grow");
+  const std::string state = TempDir("drain_state") + "/state";
+  const std::string out = TempDir("drain_out") + "/stdout.txt";
+  sim::LiveFeedWriter feed(SharedSession(), grow);
+  while (feed.Step() && feed.cursor() < SharedSession().begin + Seconds(8)) {
+  }
+  EXPECT_EQ(LiveUntilSigterm(grow + " --follow --quiet --poll-sleep-ms 20",
+                             state, out),
+            75);
+  EXPECT_NE(Slurp(out).find("DRAINED (resumable)"), std::string::npos)
+      << Slurp(out);
+
+  // The recorder finishes; the rerun resumes from the drain checkpoint.
+  // Only the chain log is growth-invariant: the report's checkpoint count
+  // depends on how far idle --follow polls moved the poll grid (see
+  // ResumesAcrossDatasetGrowth); DrainedRunResumesByteIdentical pins the
+  // report on a capture that is complete from the start.
+  feed.WriteAll();
+  ASSERT_EQ(RunCli("live " + grow + " --quiet --state " + state), 0);
+  EXPECT_EQ(Slurp(state + "/chains.jsonl"),
+            Slurp(baseline + "/chains.jsonl"));
+}
+
+TEST(LiveDrainTest, DrainedRunResumesByteIdentical) {
+  // Long enough (~0.3 s of analysis) for the signal to land mid-run.
+  sim::SessionConfig cfg;
+  cfg.profile = sim::Amarisoft();
+  cfg.duration = Seconds(120);
+  cfg.seed = 5;
+  const std::string ds = TempDir("drain_long_ds");
+  telemetry::SaveDataset(sim::CallSession(cfg).Run(), ds);
+  const std::string baseline = TempDir("drain_long_baseline");
+  ASSERT_EQ(RunCli("live " + ds + " --quiet --state " + baseline), 0);
+
+  const std::string state = TempDir("drain_long_state") + "/state";
+  const std::string out = TempDir("drain_long_out") + "/stdout.txt";
+  ASSERT_EQ(LiveUntilSigterm(ds + " --quiet", state, out), 75) << Slurp(out);
+  ASSERT_EQ(RunCli("live " + ds + " --quiet --state " + state), 0);
+  EXPECT_EQ(Slurp(state + "/chains.jsonl"),
+            Slurp(baseline + "/chains.jsonl"));
+  EXPECT_EQ(Slurp(state + "/live_report.json"),
+            Slurp(baseline + "/live_report.json"));
+}
 #endif  // DOMINO_BINARY
 
 TEST(LiveRunnerTest, ResumesAcrossDatasetGrowth) {
@@ -534,9 +603,14 @@ TEST(SupervisorTest, PoisonedSessionFailsAloneOthersComplete) {
   specs[1].dataset_dir = poison;
   specs[2].dataset_dir = good_b;
 
+  // One attempt per session, one worker per session: what `domino serve
+  // a b c --max-attempts 1` runs.
   const runtime::LiveOptions opts = QuietOpts();
-  std::vector<runtime::SessionOutcome> out = runtime::RunSessions(
-      specs, DefaultGraph(opts), opts, /*parallel=*/true);
+  runtime::FleetOptions fleet;
+  fleet.workers = 3;
+  fleet.max_attempts = 1;
+  runtime::FleetSupervisor sup(specs, DefaultGraph(opts), opts, fleet);
+  const std::vector<runtime::SessionOutcome> out = sup.Run().outcomes;
 
   ASSERT_EQ(out.size(), 3u);
   EXPECT_TRUE(out[0].ok) << out[0].error;

@@ -11,7 +11,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -21,7 +23,11 @@
 #include "domino/config_parser.h"
 #include "domino/expr.h"
 #include "domino/runtime/checkpoint.h"
+#include "domino/runtime/fleet.h"
 #include "domino_main.h"
+#include "scratch_dir.h"
+#include "sim/call_session.h"
+#include "sim/cell_config.h"
 #include "telemetry/io.h"
 
 namespace domino {
@@ -392,6 +398,237 @@ TEST(CliStrictFlagsTest, UsageErrorsStayUsageErrors) {
   EXPECT_EQ(DryRun({"live"}), 2);
   // Trailing flag with no value is not silently swallowed.
   EXPECT_EQ(DryRun({"analyze", "/tmp/ds", "--window"}), 2);
+}
+
+TEST(CliStrictFlagsTest, UnknownMissingAndRepeatedFlagsAreNeverOperands) {
+  // A mistyped flag must never become an operand (a second live session
+  // over ./--folow, a serve session named --bogus, a watch root named
+  // after the misspelled --tunables).
+  EXPECT_EQ(DryRun({"live", "/tmp/ds", "--folow"}), 2);
+  EXPECT_EQ(DryRun({"serve", "/tmp/ds", "--bogus"}), 2);
+  EXPECT_EQ(DryRun({"serve", "--watch", "/tmp/root", "--tunables-file",
+                    "/etc/t.conf"}),
+            2);
+  EXPECT_EQ(DryRun({"live", "/tmp/ds", "--state"}), 2);
+  EXPECT_EQ(DryRun({"live", "/tmp/ds", "--state", "--follow"}), 2);
+  EXPECT_EQ(DryRun({"live", "/tmp/ds", "--quiet", "--quiet"}), 2);
+  EXPECT_EQ(DryRun({"analyze", "/tmp/ds", "--window", "5", "--window=6"}),
+            2);
+  EXPECT_EQ(DryRun({"live", "/tmp/ds", "--follow=yes"}), 2);
+  // `live` is one session; several run under `serve --max-attempts 1`.
+  EXPECT_EQ(DryRun({"live", "/tmp/a", "/tmp/b"}), 2);
+  EXPECT_EQ(DryRun({"serve", "/tmp/a", "/tmp/b", "--max-attempts", "1"}), 0);
+  // Retired flags.
+  EXPECT_EQ(DryRun({"analyze", "/tmp/ds", "--no-lint"}), 2);
+  EXPECT_EQ(DryRun({"live", "/tmp/ds", "--sequential"}), 2);
+}
+
+TEST(CliStrictFlagsTest, LintWindowAndFormatGoThroughTheStrictLayer) {
+  for (const char* bad : {"nan", "inf", "1e999", "0", "-1", "2s"}) {
+    EXPECT_EQ(DryRun({"lint", "c.domino", "--window", bad}), 2) << bad;
+  }
+  EXPECT_EQ(DryRun({"lint", "c.domino", "--format", "xml"}), 2);
+  EXPECT_EQ(DryRun({"lint", "c.domino", "--window", "2.5", "--format=json"}),
+            0);
+  EXPECT_EQ(DryRun({"lint", "c.domino", "--format", "text"}), 0);
+}
+
+TEST(CliStrictFlagsTest, EveryCommandPrintsHelpToStdout) {
+  const char* const commands[] = {
+      "simulate", "ingest", "analyze",  "live",    "serve",
+      "fleet-status", "replay", "convert", "codegen", "lint"};
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(DryRun({"--help"}), 0);
+  const std::string all = testing::internal::GetCapturedStdout();
+  for (const char* cmd : commands) {
+    EXPECT_NE(all.find(std::string("  domino ") + cmd + " "),
+              std::string::npos)
+        << cmd;
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(DryRun({cmd, "--help"}), 0) << cmd;
+    const std::string help = testing::internal::GetCapturedStdout();
+    EXPECT_EQ(help.rfind("usage:\n  domino " + std::string(cmd), 0), 0u)
+        << help;
+  }
+  // The help lists what the parser accepts: the serve session flags are
+  // declared once, for live and serve alike.
+  for (const char* flag : {"--chunk-s", "--naive", "--max-backlog",
+                           "--tunables", "--owner", "--no-sanitize"}) {
+    EXPECT_NE(all.find(flag), std::string::npos) << flag;
+  }
+  EXPECT_EQ(all.find("--no-lint"), std::string::npos);
+  EXPECT_EQ(all.find("--sequential"), std::string::npos);
+}
+
+// --- CLI output files --------------------------------------------------------------
+
+TEST(CliOutputFilesTest, UnwritableOutputPathExitsTwo) {
+  sim::SessionConfig cfg;
+  cfg.profile = sim::WiredBaseline();
+  cfg.duration = Seconds(6);
+  const std::string ds = testing_util::FreshScratchDir("cli_outputs_ds");
+  telemetry::SaveDataset(sim::CallSession(cfg).Run(), ds);
+  const std::string scratch = testing_util::FreshScratchDir("cli_outputs");
+  const std::string nowhere = scratch + "/missing/dir/out";
+  const std::string config = scratch + "/c.domino";
+  std::ofstream(config) << "event big_owd: max(fwd.owd_ms) > 100\n";
+
+  const std::vector<std::vector<std::string>> cases = {
+      {"analyze", ds, "--json-report", nowhere},
+      {"analyze", ds, "--chains-csv", nowhere},
+      {"analyze", ds, "--features-csv", nowhere},
+      {"codegen", config, "-o", nowhere},
+      {"fleet-status", scratch, "--out", nowhere},
+      {"serve", ds, "--state-root", scratch + "/fleet", "--quiet",
+       "--report", nowhere},
+  };
+  for (const auto& argv : cases) {
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(cli::DominoMain(argv), 2) << argv[0] << " " << argv[2];
+    const std::string out = testing::internal::GetCapturedStdout();
+    EXPECT_EQ(out.find("written"), std::string::npos) << out;
+    EXPECT_EQ(out.find("wrote"), std::string::npos) << out;
+  }
+  // The same sinks at a writable path still succeed.
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(cli::DominoMain({"analyze", ds, "--json-report",
+                             scratch + "/r.json", "--chains-csv",
+                             scratch + "/c.csv"}),
+            0);
+  testing::internal::GetCapturedStdout();
+  EXPECT_TRUE(std::ifstream(scratch + "/r.json").good());
+  EXPECT_TRUE(std::ifstream(scratch + "/c.csv").good());
+}
+
+// --- the process-isolation child argv contract ---------------------------------
+
+/// Every argv runtime::ChildArgv can hand a process-isolation child must
+/// parse as a `domino live` command line, with no flag given twice.
+void ExpectChildArgvParses(const runtime::FleetOptions& fleet,
+                           const runtime::LiveOptions& o,
+                           const std::string& fence_lease,
+                           std::uint64_t token) {
+  runtime::SessionSpec spec;
+  spec.dataset_dir = "/data/cell0";
+  spec.state_dir = "/state/s0";
+  const std::vector<std::string> argv =
+      runtime::ChildArgv(fleet, spec, o, fence_lease, token);
+  ASSERT_GE(argv.size(), 3u);
+  EXPECT_EQ(argv[0], fleet.exec_path);
+  EXPECT_EQ(argv[1], "live");
+  std::string joined;
+  std::map<std::string, int> seen;
+  for (const std::string& a : argv) {
+    joined += " " + a;
+    if (a.rfind("--", 0) == 0) ++seen[a.substr(0, a.find('='))];
+  }
+  for (const auto& [flag, n] : seen) EXPECT_EQ(n, 1) << flag << ":" << joined;
+  EXPECT_EQ(DryRun(std::vector<std::string>(argv.begin() + 1, argv.end())), 0)
+      << joined;
+}
+
+TEST(ChildArgvContractTest, EveryChildArgvDryRunsCleanAsLive) {
+  runtime::FleetOptions fleet;
+  fleet.exec_path = "/usr/bin/domino";
+  // What `serve --isolate process` forwards: the user's session-flag
+  // tokens, verbatim (both spellings).
+  const std::vector<std::string> forwarded = {
+      "--window", "4", "--step=0.25", "--min-coverage", "0.6",
+      "--chunk-s", "1.5", "--horizon-s=20", "--stall-deadline-s", "3",
+      "--checkpoint-every", "2", "--max-idle", "5", "--naive"};
+
+  std::vector<runtime::LiveOptions> variants;
+  variants.emplace_back();  // no chaos, default budgets
+  runtime::LiveOptions o;
+  o.chaos_crash_after = 1;
+  variants.push_back(o);
+  o = {};
+  o.chaos_fail_after = 2;
+  variants.push_back(o);
+  o = {};
+  o.chaos_wedge_after = 3;
+  variants.push_back(o);
+  using Kind = DiskFaultSpec::Kind;
+  for (Kind k : {Kind::kEnospc, Kind::kEio, Kind::kShortWrite, Kind::kRename,
+                 Kind::kFsync}) {
+    o = {};
+    o.disk_fault = {k, 2};
+    variants.push_back(o);
+  }
+  o = {};
+  o.max_backlog_windows = 7;
+  o.input.max_records = 5000;  // a tenant --tenant-max-records budget
+  variants.push_back(o);
+  o = {};  // everything at once
+  o.chaos_crash_after = 1;
+  o.chaos_fail_after = 1;
+  o.chaos_wedge_after = 1;
+  o.disk_fault = {Kind::kEio, 1};
+  o.max_backlog_windows = 3;
+  o.input.max_records = 1;
+  variants.push_back(o);
+
+  for (const auto& args : {std::vector<std::string>{}, forwarded}) {
+    fleet.child_args = args;
+    for (const runtime::LiveOptions& v : variants) {
+      ExpectChildArgvParses(fleet, v, "", 0);
+      ExpectChildArgvParses(fleet, v, "/state/shard/k0", 42);
+    }
+  }
+}
+
+// --- the README stays runnable -----------------------------------------------------
+
+/// The argv (program name dropped) of every `domino <cmd> ...` command line
+/// in a fenced block of the markdown file at `path`: `\` continuations
+/// joined; a systemd `ExecStart=` prefix, a trailing `&` and `# comments`
+/// stripped; the systemd specifier %H expanded as systemd would.
+std::vector<std::vector<std::string>> FencedDominoCommands(
+    const std::string& path) {
+  std::ifstream f(path);
+  std::vector<std::vector<std::string>> out;
+  bool fenced = false;
+  std::string text;
+  for (std::string line; std::getline(f, line);) {
+    if (line.rfind("```", 0) == 0) {
+      fenced = !fenced;
+      text.clear();
+      continue;
+    }
+    if (!fenced) continue;
+    text += line;
+    if (!text.empty() && text.back() == '\\') {
+      text.pop_back();
+      continue;
+    }
+    if (text.rfind("ExecStart=", 0) == 0) text.erase(0, 10);
+    if (const auto hash = text.find(" #"); hash != std::string::npos) {
+      text.erase(hash);
+    }
+    std::istringstream words(text);
+    text.clear();
+    std::vector<std::string> argv;
+    for (std::string w; words >> w;) argv.push_back(w == "%H" ? "box1" : w);
+    if (!argv.empty() && argv.back() == "&") argv.pop_back();
+    if (argv.size() < 2) continue;
+    const std::string& prog = argv[0];
+    if (prog == "domino" ||
+        ((prog[0] == '.' || prog[0] == '/') && prog.size() > 7 &&
+         prog.compare(prog.size() - 7, 7, "/domino") == 0)) {
+      out.emplace_back(argv.begin() + 1, argv.end());
+    }
+  }
+  return out;
+}
+
+TEST(CliDocsTest, ReadmeCommandLinesDryRunClean) {
+  const auto commands = FencedDominoCommands(DOMINO_README);
+  EXPECT_GE(commands.size(), 15u);  // the scan itself must not go blind
+  for (const auto& argv : commands) {
+    std::string joined;
+    for (const std::string& a : argv) joined += " " + a;
+    EXPECT_EQ(DryRun(argv), 0) << "domino" << joined;
+  }
 }
 
 }  // namespace

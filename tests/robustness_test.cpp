@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -2033,7 +2034,65 @@ TEST(ServeDaemonCliTest, ExitCodesDistinguishDegradations) {
   EXPECT_EQ(RunShell(serve + FleetDatasetDir() + " --isolate carrier"), 2);
 }
 
+TEST(ServeDaemonCliTest, ProcessIsolationForwardsFlagValuesExactly) {
+  // The chunk is an exact multiple of the step only at full precision: a
+  // child handed the values rounded (1.23457, 2.46913) refuses the session.
+  // Process children must analyse exactly what a thread attempt analyses.
+  const std::string scratch = FleetTempDir("forward_exact");
+  for (const char* iso : {"thread", "process"}) {
+    EXPECT_EQ(RunShell(std::string(DOMINO_BINARY) + " serve " +
+                       FleetDatasetDir() + " --isolate " + iso +
+                       " --step 1.234567 --chunk-s=2.469134 --max-attempts 1" +
+                       " --state-root " + scratch + "/" + iso + " --report " +
+                       scratch + "/" + iso + ".json --quiet"),
+              0)
+        << iso;
+  }
+  const std::string report = FleetSlurp(scratch + "/process.json");
+  EXPECT_NE(report.find("\"completed\": 1"), std::string::npos) << report;
+  for (const char* f : {"/s0/chains.jsonl", "/s0/live_report.json"}) {
+    EXPECT_FALSE(FleetSlurp(scratch + "/thread" + f).empty()) << f;
+    EXPECT_EQ(FleetSlurp(scratch + "/process" + f),
+              FleetSlurp(scratch + "/thread" + f))
+        << f;
+  }
+}
+
 #if !defined(_WIN32)
+TEST(ServeDaemonCliTest, ProcessIsolationDrainStopsTheChildWithExit75) {
+  // One long session under process isolation. SIGTERM to serve, once the
+  // child is analysing, must reach the child as a drain: it checkpoints and
+  // exits 75 (suspended, resumable) long before --drain-grace-ms would
+  // SIGKILL it, instead of running the session to completion.
+  static const std::string ds = [] {
+    sim::SessionConfig cfg;
+    cfg.profile = sim::Amarisoft();
+    cfg.duration = Seconds(300);
+    cfg.seed = 17;
+    const std::string d = FleetTempDir("long_ds");
+    telemetry::SaveDataset(sim::CallSession(cfg).Run(), d);
+    return d;
+  }();
+  const std::string scratch = FleetTempDir("process_drain");
+  const std::string state = scratch + "/st";
+  const std::string cmd =
+      std::string(DOMINO_BINARY) + " serve " + ds +
+      " --isolate process --max-attempts 1 --drain-grace-ms 60000" +
+      " --state-root " + state + " --report " + scratch + "/r.json" +
+      " --quiet & pid=$!; i=0; while [ ! -e " + state +
+      "/s0/chains.jsonl ] && [ $i -lt 400 ]; do sleep 0.025; i=$((i+1));"
+      " done; kill -TERM $pid; i=0;"
+      " while kill -0 $pid 2>/dev/null && [ $i -lt 600 ]; do sleep 0.05;"
+      " i=$((i+1)); done; kill -KILL $pid 2>/dev/null; wait $pid";
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(RunShell(cmd), 0);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(20));
+  const std::string report = FleetSlurp(scratch + "/r.json");
+  EXPECT_NE(report.find("\"suspended\": true"), std::string::npos) << report;
+  EXPECT_NE(report.find("\"exit_code\": 75"), std::string::npos) << report;
+  EXPECT_NE(report.find("\"term_signal\": 0"), std::string::npos) << report;
+}
+
 TEST(ServeDaemonCliTest, WatchAdmitsLateSessionsAndSurvivesSighup) {
   const std::string scratch = FleetTempDir("daemon_watch");
   const std::string root = scratch + "/root";

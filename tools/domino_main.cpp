@@ -1,101 +1,36 @@
 // domino — the command-line tool an operator or researcher runs.
 //
-//   domino simulate <cell> <seconds> <out_dir> [--seed N]
-//       Generate a cross-layer dataset by simulating a two-party call over
-//       one of the modelled cells (tmobile-fdd15, tmobile-tdd100, amarisoft,
-//       mosolabs, wired).
+// Every command declares its operands and flags once, as a table (Command
+// below) whose entries point at the option fields they set. The one argv
+// parser, the `--help` text and the session flags `serve --isolate process`
+// hands to its children are all read from those tables, so they cannot
+// drift apart. `domino --help` lists every command; `domino <cmd> --help`
+// describes one.
 //
-//   domino ingest <dataset_dir> [--repair] [--out DIR]
-//                 [--inject k=v,... --seed N]
-//                 [--reorder-window SEC] [--gap-threshold SEC]
-//       Tolerantly load a dataset, sanitize every stream (dedupe, bounded
-//       reorder, range check, gap/coverage detection, clock-skew estimate)
-//       and print the per-stream health report. --repair also corrects the
-//       estimated skew and writes the cleaned dataset back (to --out, or in
-//       place). --inject first corrupts the dataset with the deterministic
-//       fault injector (keys: drop dup reorder reorder-span-ms corrupt
-//       truncate gap-s gap-at skew-ms drift-ppm), for building robustness
-//       test fixtures. Exit code 1 when any stream is degraded.
-//
-//   domino analyze <dataset_dir> [--config FILE] [--window SEC]
-//                  [--step SEC] [--chains-csv FILE] [--features-csv FILE]
-//                  [--offset-correct] [--min-coverage X]
-//                  [--json-report FILE] [--no-sanitize]
-//       Run the causal-chain analysis over a saved dataset and print the
-//       summary report. --config extends the default Fig. 9 graph with
-//       user-defined events/chains (see docs in config_parser.h). Datasets
-//       are sanitized on load by default; chains whose required streams
-//       cover less than --min-coverage of a window are reported as
-//       "insufficient evidence" instead of asserted as root causes.
-//
-//   domino convert <in_dir> <out_dir> [--to bin|csv]
-//       Re-encode a dataset between the CSV bundle and the binary fast
-//       path (telemetry.dtb, see telemetry/binfmt.h). The input format is
-//       auto-detected (a .dtb in <in_dir> wins); --to picks the output
-//       (default bin). Analysis results are identical either way — the
-//       binary image just loads without text parsing, via mmap.
-//
-//   domino codegen <config_file> [-o FILE]
-//       Generate the standalone Python detector module for a configuration
-//       (Fig. 11); writes to stdout by default.
-//
-//   domino lint <config_file> [--strict] [--format json] [--no-default-graph]
-//               [--no-verify] [--window SEC]
-//       Statically analyse a config with domino-lint: reports every problem
-//       in one run (compiler-style, with source excerpts and fix-its), or as
-//       a stable JSON document for CI. Includes the domino-verify semantic
-//       pass (DL401-DL407: satisfiability, units, ranges, shadowed chains,
-//       stream declarations, window budgets) unless --no-verify; --window
-//       sets the analysis window the DL407 sample budgets assume. Exit code
-//       is the highest severity found (0 clean, 1 warnings, 2 errors);
-//       --strict promotes warnings to errors. "domino --lint <file>" is an
-//       alias.
-//   domino live <dataset_dir>... [--state DIR] [--follow] [--naive]
-//               [--chunk-s SEC] [--horizon-s SEC] [--stall-deadline-s SEC]
-//               [--max-backlog N] [--checkpoint-every N] [--sequential]
-//       Crash-safe supervised live analysis: tail one or more (possibly
-//       still growing) dataset directories, emit chains to
-//       <state>/chains.jsonl as their windows complete, checkpoint
-//       periodically, and resume byte-identically after a kill. Multiple
-//       directories run as isolated sessions (thread each); a poisoned one
-//       fails alone. Exit code 1 when any session failed.
-//
-//   domino serve <dir | tenant=dir>... [--workers N] [--max-attempts N]
-//                [--backoff-ms N] [--global-backlog N]
-//                [--session-deadline-s SEC] [--isolate thread|process]
-//                [--state-root DIR] [--report FILE] [--chaos idx:kind:N,...]
-//       Fleet mode: run every dataset as an isolated fault domain over a
-//       bounded worker pool, retrying failed sessions from their last good
-//       checkpoint with capped exponential backoff and quarantining them
-//       after the attempt budget. --isolate process forks one child per
-//       attempt so even a SIGSEGV/SIGKILL is recorded and retried without
-//       taking down the fleet. Prints the text FleetReport; --report also
-//       writes the deterministic JSON one. Exit 1 when any session failed.
-//
-//   domino replay <dataset_dir> <out_dir> [--interval-ms N] [--chunk-ms N]
-//                 [--stall stream=SEC]
-//       Replay a saved dataset into <out_dir> as a growing capture (meta
-//       first, then stream rows in virtual-time order) for feeding
-//       `domino live --follow`. --stall freezes one stream at a given
-//       session time, for watchdog testing.
-//
-// Flag values are parsed with the strict layer in common/parse.h: any
-// malformed or out-of-range number (`--threads=abc`, `--seed 1e999`) is a
-// usage error (exit 2) with a one-line diagnostic, never an exception.
+// The parser is the CLI's trust boundary (DESIGN.md §10): flag values go
+// through the strict layer in common/parse.h, and a malformed or
+// out-of-range value (`--threads=abc`, `--seed 1e999`), an unknown flag, a
+// flag without its value, a repeated flag or a surplus operand is a usage
+// error (exit 2) with a one-line diagnostic naming the token — never an
+// exception, never a silently misread operand.
 #include "domino_main.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <iterator>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #if !defined(_WIN32)
@@ -111,11 +46,10 @@
 #include "domino/runtime/daemon.h"
 #include "domino/runtime/fleet.h"
 #include "domino/runtime/shard.h"
-#include "domino/runtime/supervisor.h"
-#include "sim/live_feed.h"
-#include "telemetry/align.h"
 #include "sim/call_session.h"
 #include "sim/cell_config.h"
+#include "sim/live_feed.h"
+#include "telemetry/align.h"
 #include "telemetry/binfmt.h"
 #include "telemetry/fault_inject.h"
 #include "telemetry/io.h"
@@ -130,100 +64,94 @@ namespace {
 
 using namespace domino;
 
-void PrintUsage(std::FILE* to) {
-  std::fprintf(to,
-               "usage:\n"
-               "  domino simulate <cell> <seconds> <out_dir> [--seed N]\n"
-               "  domino ingest <dataset_dir> [--repair] [--out DIR]\n"
-               "                [--inject k=v,... --seed N]"
-               " [--reorder-window SEC]\n"
-               "                [--gap-threshold SEC]\n"
-               "  domino analyze <dataset_dir> [--config FILE]"
-               " [--window SEC] [--step SEC]\n"
-               "                 [--chains-csv FILE] [--features-csv FILE]"
-               " [--offset-correct]\n"
-               "                 [--strict-lint | --no-lint]"
-               " [--min-coverage X]\n"
-               "                 [--json-report FILE] [--no-sanitize]\n"
-               "  domino live <dataset_dir>... [--state DIR] [--follow]"
-               " [--naive] [--quiet]\n"
-               "              [--window SEC] [--step SEC] [--min-coverage X]"
-               " [--threads N]\n"
-               "              [--chunk-s SEC] [--horizon-s SEC]"
-               " [--stall-deadline-s SEC]\n"
-               "              [--max-backlog N] [--checkpoint-every N]"
-               " [--max-idle N]\n"
-               "              [--sequential] [--crash-after N]\n"
-               "  domino serve <dir | tenant=dir>... [--workers N]"
-               " [--max-attempts N]\n"
-               "              [--backoff-ms N] [--backoff-cap-ms N]"
-               " [--global-backlog N]\n"
-               "              [--session-deadline-s SEC]"
-               " [--isolate thread|process]\n"
-               "              [--state-root DIR] [--report FILE]"
-               " [--chaos idx:kind:N,...]\n"
-               "              [--tenant-backlog t=N]"
-               " [--tenant-max-records t=N]\n"
-               "              [--window SEC] [--step SEC] [--chunk-s SEC]"
-               " [--max-backlog N]\n"
-               "              [--watch] [--exit-when-idle]"
-               " [--scan-interval-ms N]\n"
-               "              [--manifest FILE] [--status-file FILE]"
-               " [--status-interval-ms N]\n"
-               "              [--tunables FILE] [--drain-grace-ms N]\n"
-               "              [--owner ID] [--lease-ttl-ms N]"
-               " [--heartbeat-ms N]\n"
-               "    With --watch the operands are *roots*: subdirectories"
-               " are admitted as\n"
-               "    sessions once their meta.csv parses. SIGTERM/SIGINT"
-               " drain gracefully\n"
-               "    (checkpoint + manifest, exit 0); SIGHUP re-scans roots"
-               " and reloads\n"
-               "    --tunables. Chaos kinds: crash fail wedge disk-enospc"
-               " disk-eio\n"
-               "    disk-short disk-rename disk-fsync.\n"
-               "    With --owner, N daemons on N boxes sharing one"
-               " --state-root run ONE\n"
-               "    fleet: sessions are claimed via fencing-token leases,"
-               " heartbeats\n"
-               "    renewed every --heartbeat-ms (default ttl/4), and a"
-               " box whose\n"
-               "    heartbeat goes staler than --lease-ttl-ms has its"
-               " sessions stolen\n"
-               "    and resumed from their shared checkpoints. A session"
-               " whose lease\n"
-               "    was stolen mid-run ends 'fenced' (not a failure; the"
-               " thief owns it).\n"
-               "    serve exit codes: 0 all sessions completed (or clean"
-               " drain), 2 usage\n"
-               "    error, 3 completed but windows were shed (degraded), 4"
-               " some session\n"
-               "    failed or was quarantined. (`domino live` exits 76"
-               " when fenced.)\n"
-               "  domino fleet-status <state_root> [--owners] [--out FILE]\n"
-               "    Merge every box's manifest + done markers under a"
-               " shared state root\n"
-               "    into one deterministic JSON fleet view (exit 0 all"
-               " terminal, 3 some\n"
-               "    open, 4 some quarantined). --owners adds per-box"
-               " attribution.\n"
-               "  domino replay <dataset_dir> <out_dir> [--interval-ms N]"
-               " [--chunk-ms N]\n"
-               "               [--stall stream=SEC]\n"
-               "  domino convert <in_dir> <out_dir> [--to bin|csv]\n"
-               "  domino codegen <config_file> [-o FILE]\n"
-               "  domino lint <config_file> [--strict] [--format json]"
-               " [--no-default-graph]\n"
-               "              [--no-verify] [--window SEC]\n"
-               "  domino --help | --version\n"
-               "cells: tmobile-fdd15 tmobile-tdd100 amarisoft mosolabs"
-               " wired\n");
+// --- the flag table ----------------------------------------------------------
+
+/// A flag value after the strict parse, in the field its kind uses.
+struct Value {
+  double real = 0;
+  std::int64_t integer = 0;
+  std::uint64_t u64 = 0;
+  std::string text;
+};
+
+/// One flag: its name, value kind, help placeholder and the destination
+/// its value is stored to (through `set`, which knows the field's type).
+struct Flag {
+  enum class Kind { kSwitch, kReal, kInt, kU64, kString };
+  const char* name;
+  const char* metavar;  ///< nullptr for a switch; a choice lists "a|b".
+  Kind kind;
+  void* dest;
+  void (*set)(void* dest, const Value& v);
+  std::int64_t lo = 0;  ///< kInt range, inclusive.
+  std::int64_t hi = 0;
+  bool choice = false;  ///< kString: the value must be one in `metavar`.
+  /// A session flag `serve --isolate process` passes to every child as the
+  /// user typed it, so the child's config fingerprint matches the parent's.
+  bool forward = false;
+};
+
+using Kind = Flag::Kind;
+
+Flag Switch(const char* name, bool* d) {
+  return {name, nullptr, Kind::kSwitch, d,
+          [](void* p, const Value&) { *static_cast<bool*>(p) = true; }};
+}
+template <class T>  // double or std::optional<double>
+Flag Real(const char* name, const char* mv, T* d) {
+  return {name, mv, Kind::kReal, d,
+          [](void* p, const Value& v) { *static_cast<T*>(p) = v.real; }};
+}
+Flag Secs(const char* name, Duration* d) {
+  return {name, "SEC", Kind::kReal, d, [](void* p, const Value& v) {
+            *static_cast<Duration*>(p) = Seconds(v.real);
+          }};
+}
+template <class T>  // any integer or std::optional<std::int64_t>
+Flag Int(const char* name, const char* mv, std::int64_t lo, std::int64_t hi,
+         T* d) {
+  return {name, mv, Kind::kInt, d,
+          [](void* p, const Value& v) {
+            *static_cast<T*>(p) = static_cast<T>(v.integer);
+          },
+          lo, hi};
+}
+template <class T>  // std::uint64_t or its optional
+Flag U64(const char* name, const char* mv, T* d) {
+  return {name, mv, Kind::kU64, d,
+          [](void* p, const Value& v) { *static_cast<T*>(p) = v.u64; }};
+}
+template <class T>  // std::string or std::optional<std::string>
+Flag Str(const char* name, const char* mv, T* d) {
+  return {name, mv, Kind::kString, d,
+          [](void* p, const Value& v) { *static_cast<T*>(p) = v.text; }};
+}
+Flag Choice(const char* name, const char* values,
+            std::optional<std::string>* d) {
+  Flag f = Str(name, values, d);
+  f.choice = true;
+  return f;
+}
+Flag Forwarded(Flag f) {
+  f.forward = true;
+  return f;
 }
 
-int Usage() {
-  PrintUsage(stderr);
-  return 2;
-}
+/// Everything the parser and the help text know about one command.
+struct Command {
+  const char* operands;  ///< Synopsis of the operands.
+  std::size_t min_operands;
+  std::size_t max_operands;  ///< SIZE_MAX = any number.
+  const char* about;         ///< Shown by `domino <cmd> --help`.
+  std::vector<Flag> flags;
+};
+
+/// What a parse yields besides the flag destinations.
+struct Parsed {
+  std::vector<std::string> ops;
+  /// The verbatim tokens of every Forwarded flag, in argv order.
+  std::vector<std::string> forwarded;
+};
 
 /// The canonical strict-flag failure: one-line diagnostic, exit code 2.
 int BadFlag(const char* flag, const std::string& value, const char* want) {
@@ -232,110 +160,126 @@ int BadFlag(const char* flag, const std::string& value, const char* want) {
   return 2;
 }
 
-std::optional<sim::CellProfile> CellByName(const std::string& name) {
-  if (name == "tmobile-fdd15") return sim::TMobileFdd15();
-  if (name == "tmobile-tdd100") return sim::TMobileTdd100();
-  if (name == "amarisoft") return sim::Amarisoft();
-  if (name == "mosolabs") return sim::Mosolabs();
-  if (name == "wired") return sim::WiredBaseline();
-  return std::nullopt;
+int UsageError(const char* cmd, const std::string& what) {
+  std::fprintf(stderr, "domino %s: %s (see 'domino %s --help')\n", cmd,
+               what.c_str(), cmd);
+  return 2;
 }
 
-/// Returns the value of `--flag value` or `--flag=value` if present,
-/// removing the consumed tokens. A trailing `--flag` with no value is left
-/// in place so the operand-count check reports it as a usage error.
-std::optional<std::string> TakeFlag(std::vector<std::string>& args,
-                                    const std::string& flag) {
-  const std::string prefixed = flag + "=";
+/// Parses `text` as the flag's kind (a switch takes none) and stores it; 0,
+/// or 2 after BadFlag.
+int Store(const Flag& f, const std::string& text) {
+  Value v;
+  if (f.kind == Kind::kReal && !ParseFinite(text, v.real)) {
+    return BadFlag(f.name, text, "a finite number");
+  }
+  if (f.kind == Kind::kInt && !ParseInt64In(text, f.lo, f.hi, v.integer)) {
+    const std::string want = "an integer in [" + std::to_string(f.lo) +
+                             ", " + std::to_string(f.hi) + "]";
+    return BadFlag(f.name, text, want.c_str());
+  }
+  if (f.kind == Kind::kU64 && !ParseUint64(text, v.u64)) {
+    return BadFlag(f.name, text, "an unsigned integer");
+  }
+  if (f.choice && ("|" + std::string(f.metavar) + "|")
+                          .find("|" + text + "|") == std::string::npos) {
+    std::string want = "'" + std::string(f.metavar) + "'";
+    want.replace(want.find('|'), 1, "' or '");
+    return BadFlag(f.name, text, want.c_str());
+  }
+  v.text = text;
+  f.set(f.dest, v);
+  return 0;
+}
+
+/// `  domino <name> <operands> [--flag X] ...`, wrapped at 79 columns.
+std::string Synopsis(const char* name, const Command& c) {
+  const std::string head = std::string("  domino ") + name + " ";
+  std::string out;
+  std::string line = head + c.operands;
+  for (const Flag& f : c.flags) {
+    std::string item = std::string("[") + f.name;
+    if (f.metavar != nullptr) item += std::string(" ") + f.metavar;
+    item += "]";
+    if (line.size() + 1 + item.size() > 79) {
+      out += line + "\n";
+      line = std::string(head.size(), ' ') + item;
+    } else {
+      line += " " + item;
+    }
+  }
+  return out + line + "\n";
+}
+
+/// Reads `args` against `cmd`, storing every flag and filling `out`.
+/// Returns -1 when the command should run; otherwise the exit code: 0
+/// after `--help` (printed to stdout), 2 after a usage error.
+int Parse(const char* name, const Command& cmd,
+          const std::vector<std::string>& args, Parsed* out) {
+  std::vector<char> seen(cmd.flags.size(), 0);
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == flag && i + 1 < args.size()) {
-      std::string value = args[i + 1];
-      args.erase(args.begin() + static_cast<long>(i),
-                 args.begin() + static_cast<long>(i) + 2);
-      return value;
+    const std::string& tok = args[i];
+    if (tok.empty() || tok[0] != '-') {
+      out->ops.push_back(tok);
+      continue;
     }
-    if (args[i].compare(0, prefixed.size(), prefixed) == 0) {
-      std::string value = args[i].substr(prefixed.size());
-      args.erase(args.begin() + static_cast<long>(i));
-      return value;
+    if (tok == "--help") {
+      std::printf("usage:\n%s\n%s\n", Synopsis(name, cmd).c_str(), cmd.about);
+      return 0;
+    }
+    const std::size_t eq = tok.find('=');
+    const std::string flag = tok.substr(0, eq);
+    std::size_t k = 0;
+    while (k < cmd.flags.size() && flag != cmd.flags[k].name) ++k;
+    if (k == cmd.flags.size()) {
+      return UsageError(name, "unknown flag '" + tok + "'");
+    }
+    const Flag& f = cmd.flags[k];
+    if (seen[k] != 0) return UsageError(name, "flag '" + flag + "' repeated");
+    seen[k] = 1;
+    const std::size_t first = i;
+    std::string value;
+    if (eq != std::string::npos) {
+      if (f.kind == Kind::kSwitch) {
+        return UsageError(name, "flag '" + flag + "' takes no value");
+      }
+      value = tok.substr(eq + 1);
+    } else if (f.kind != Kind::kSwitch) {
+      if (i + 1 == args.size() || args[i + 1].rfind("--", 0) == 0) {
+        return UsageError(name, "flag '" + flag + "' needs a value");
+      }
+      value = args[++i];
+    }
+    if (int rc = Store(f, value)) return rc;
+    if (f.forward) {
+      out->forwarded.insert(out->forwarded.end(),
+                            args.begin() + static_cast<long>(first),
+                            args.begin() + static_cast<long>(i) + 1);
     }
   }
-  return std::nullopt;
+  if (out->ops.size() < cmd.min_operands) {
+    return UsageError(name, std::string("missing operand (want ") +
+                                cmd.operands + ")");
+  }
+  if (out->ops.size() > cmd.max_operands) {
+    return UsageError(name, "unexpected operand '" +
+                                out->ops[cmd.max_operands] + "' (want " +
+                                cmd.operands + ")");
+  }
+  return -1;
 }
 
-// Strict numeric TakeFlag wrappers. Absent flags leave *out empty and
-// return 0; malformed values print the BadFlag diagnostic and return 2
-// (the command forwards it: `if (int rc = TakeD(...)) return rc;`).
-
-int TakeD(std::vector<std::string>& args, const char* flag,
-          std::optional<double>* out) {
-  auto s = TakeFlag(args, flag);
-  if (!s) return 0;
-  double v = 0;
-  if (!ParseFinite(*s, v)) return BadFlag(flag, *s, "a finite number");
-  *out = v;
-  return 0;
-}
-
-int TakeI(std::vector<std::string>& args, const char* flag, std::int64_t lo,
-          std::int64_t hi, std::optional<std::int64_t>* out) {
-  auto s = TakeFlag(args, flag);
-  if (!s) return 0;
-  std::int64_t v = 0;
-  if (!ParseInt64In(*s, lo, hi, v)) {
-    const std::string want = "an integer in [" + std::to_string(lo) + ", " +
-                             std::to_string(hi) + "]";
-    return BadFlag(flag, *s, want.c_str());
+/// Writes one output file in full; false (after "domino <cmd>: cannot
+/// write <path>" on stderr) when any part of it could not be written.
+bool WriteOutput(const char* cmd, const std::string& path,
+                 const std::string& text) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f << text;
+  f.close();
+  if (!f) {
+    std::fprintf(stderr, "domino %s: cannot write %s\n", cmd, path.c_str());
   }
-  *out = v;
-  return 0;
-}
-
-int TakeU64(std::vector<std::string>& args, const char* flag,
-            std::optional<std::uint64_t>* out) {
-  auto s = TakeFlag(args, flag);
-  if (!s) return 0;
-  std::uint64_t v = 0;
-  if (!ParseUint64(*s, v)) {
-    return BadFlag(flag, *s, "an unsigned integer");
-  }
-  *out = v;
-  return 0;
-}
-
-int CmdSimulate(std::vector<std::string> args, const MainOptions& mo) {
-  std::optional<std::uint64_t> seed_f;
-  if (int rc = TakeU64(args, "--seed", &seed_f)) return rc;
-  if (args.size() != 3) return Usage();
-
-  auto profile = CellByName(args[0]);
-  if (!profile.has_value()) {
-    std::fprintf(stderr, "unknown cell '%s'\n", args[0].c_str());
-    return 2;
-  }
-  double seconds = 0;
-  if (!ParseFinite(args[1], seconds) || seconds < 0) {
-    return BadFlag("<seconds>", args[1], "a non-negative finite number");
-  }
-  const std::string& out_dir = args[2];
-  const std::uint64_t seed = seed_f.value_or(1);
-  if (mo.dry_run) return 0;
-
-  std::printf("simulating %.0f s over '%s' (seed %llu)...\n", seconds,
-              profile->name.c_str(),
-              static_cast<unsigned long long>(seed));
-  sim::SessionConfig cfg;
-  cfg.profile = *profile;
-  cfg.duration = Seconds(seconds);
-  cfg.seed = seed;
-  sim::CallSession session(cfg);
-  telemetry::SessionDataset ds = session.Run();
-  telemetry::SaveDataset(ds, out_dir);
-  std::printf("wrote %zu DCIs, %zu packets, %zu gNB log rows, %zu+%zu stats "
-              "rows to %s/\n",
-              ds.dci.size(), ds.packets.size(), ds.gnb_log.size(),
-              ds.stats[0].size(), ds.stats[1].size(), out_dir.c_str());
-  return 0;
+  return static_cast<bool>(f);
 }
 
 /// Reads a whole file; nullopt (with a message on stderr) when unreadable.
@@ -350,408 +294,441 @@ std::optional<std::string> ReadFileOrComplain(const std::string& path) {
   return buf.str();
 }
 
-int CmdLint(std::vector<std::string> args, const MainOptions& mo) {
-  bool strict = false;
-  bool json = false;
-  bool no_default_graph = false;
-  bool no_verify = false;
-  double window_s = 0;
-  if (auto fmt = TakeFlag(args, "--format")) json = (*fmt == "json");
-  if (auto win = TakeFlag(args, "--window")) {
-    char* rest = nullptr;
-    window_s = std::strtod(win->c_str(), &rest);
-    if (rest == win->c_str() || *rest != '\0' || window_s <= 0) {
-      std::fprintf(stderr, "bad --window '%s' (want seconds > 0)\n",
-                   win->c_str());
-      return 2;
-    }
-  }
-  for (auto it = args.begin(); it != args.end();) {
-    if (*it == "--strict") {
-      strict = true;
-      it = args.erase(it);
-    } else if (*it == "--no-default-graph") {
-      no_default_graph = true;
-      it = args.erase(it);
-    } else if (*it == "--no-verify") {
-      no_verify = true;
-      it = args.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (args.size() != 1) return Usage();
-  if (mo.dry_run) return 0;
-  auto text = ReadFileOrComplain(args[0]);
-  if (!text.has_value()) return 2;
-
-  analysis::lint::LintOptions opts;
-  opts.use_default_graph = !no_default_graph;
-  opts.verify = !no_verify;
-  if (window_s > 0) opts.verify_options.window_ms = window_s * 1000.0;
-  analysis::lint::LintResult res =
-      analysis::lint::LintConfigText(*text, opts);
-  if (strict) analysis::lint::PromoteWarnings(res.sink);
-
-  if (json) {
-    std::fputs(analysis::lint::FormatDiagnosticsJson(res.sink).c_str(),
-               stdout);
-  } else if (res.sink.empty()) {
-    std::printf("%s: no issues\n", args[0].c_str());
-  } else {
-    std::fputs(
-        analysis::lint::RenderDiagnostics(res.sink, *text, args[0]).c_str(),
-        stdout);
-  }
-  // Exit code mirrors the highest severity: 0 clean, 1 warnings, 2 errors.
-  return static_cast<int>(res.sink.max_severity());
+void PrintLoaded(const std::string& dir, const telemetry::SessionDataset& ds) {
+  std::printf("loaded dataset '%s' (%s, %.0f s, %zu DCIs, %zu packets)\n",
+              dir.c_str(), ds.cell_name.c_str(), ds.duration().seconds(),
+              ds.dci.size(), ds.packets.size());
 }
 
-/// Parses the --inject "key=value,key=value" fault spec; nullopt (with a
-/// message on stderr) on an unknown key or malformed pair.
-std::optional<telemetry::FaultSpec> ParseFaultSpec(const std::string& spec) {
-  telemetry::FaultSpec fs;
+// --- the commands ------------------------------------------------------------
+
+struct Cell {
+  const char* name;
+  sim::CellProfile (*profile)();
+};
+const Cell kCells[] = {{"tmobile-fdd15", sim::TMobileFdd15},
+                       {"tmobile-tdd100", sim::TMobileTdd100},
+                       {"amarisoft", sim::Amarisoft},
+                       {"mosolabs", sim::Mosolabs},
+                       {"wired", sim::WiredBaseline}};
+
+struct Simulate : Parsed {
+  std::uint64_t seed = 1;
+
+  Command Spec() {
+    return {"<cell> <seconds> <out_dir>", 3, 3,
+            "Simulate a call over a modelled cell (see 'domino --help').",
+            {U64("--seed", "N", &seed)}};
+  }
+
+  int Run(const MainOptions& mo) {
+    const Cell* cell = std::find_if(std::begin(kCells), std::end(kCells),
+                                    [&](const Cell& c) { return ops[0] == c.name; });
+    if (cell == std::end(kCells)) {
+      return BadFlag("<cell>", ops[0], "a cell listed by 'domino --help'");
+    }
+    double seconds = 0;
+    if (!ParseFinite(ops[1], seconds) || seconds < 0) {
+      return BadFlag("<seconds>", ops[1], "a non-negative finite number");
+    }
+    if (mo.dry_run) return 0;
+
+    sim::SessionConfig cfg;
+    cfg.profile = cell->profile();
+    cfg.duration = Seconds(seconds);
+    cfg.seed = seed;
+    std::printf("simulating %.0f s over '%s' (seed %llu)...\n", seconds,
+                cfg.profile.name.c_str(), static_cast<unsigned long long>(seed));
+    telemetry::SessionDataset ds = sim::CallSession(cfg).Run();
+    telemetry::SaveDataset(ds, ops[2]);
+    std::printf("wrote %zu DCIs, %zu packets, %zu gNB log rows, %zu+%zu "
+                "stats rows to %s/\n",
+                ds.dci.size(), ds.packets.size(), ds.gnb_log.size(),
+                ds.stats[0].size(), ds.stats[1].size(), ops[2].c_str());
+    return 0;
+  }
+};
+
+/// Parses the --inject "key=value,..." fault spec into `fs`; false (after
+/// BadFlag) on a malformed pair or an unknown key.
+bool ParseFaultSpec(const std::string& spec, telemetry::FaultSpec* fs) {
+  // The two Duration keys (null here) are converted below.
+  const std::pair<const char*, double*> keys[] = {
+      {"drop", &fs->drop},           {"dup", &fs->duplicate},
+      {"duplicate", &fs->duplicate}, {"reorder", &fs->reorder},
+      {"reorder-span-ms", nullptr},  {"corrupt", &fs->corrupt_time},
+      {"truncate", &fs->truncate_tail}, {"gap-s", nullptr},
+      {"gap-at", &fs->gap_at},       {"skew-ms", &fs->skew_ms},
+      {"drift-ppm", &fs->drift_ppm}};
   std::stringstream ss(spec);
-  std::string kv;
-  while (std::getline(ss, kv, ',')) {
+  for (std::string kv; std::getline(ss, kv, ',');) {
     if (kv.empty()) continue;
-    auto eq = kv.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "bad fault spec '%s' (want key=value)\n",
-                   kv.c_str());
-      return std::nullopt;
-    }
-    std::string key = kv.substr(0, eq);
+    const auto eq = kv.find('=');
+    const std::string key = kv.substr(0, eq);
+    const auto* k = std::find_if(std::begin(keys), std::end(keys),
+                                 [&](const auto& e) { return key == e.first; });
     double val = 0;
-    if (!ParseFinite(kv.substr(eq + 1), val)) {
-      std::fprintf(stderr,
-                   "bad fault value '%s' for key '%s' (want a finite "
-                   "number)\n",
-                   kv.substr(eq + 1).c_str(), key.c_str());
-      return std::nullopt;
+    if (eq == std::string::npos || k == std::end(keys) ||
+        !ParseFinite(kv.substr(eq + 1), val)) {
+      BadFlag("--inject", kv,
+              "key=<finite number>, key one of drop dup reorder "
+              "reorder-span-ms corrupt truncate gap-s gap-at skew-ms "
+              "drift-ppm");
+      return false;
     }
-    if (key == "drop") {
-      fs.drop = val;
-    } else if (key == "dup" || key == "duplicate") {
-      fs.duplicate = val;
-    } else if (key == "reorder") {
-      fs.reorder = val;
-    } else if (key == "reorder-span-ms") {
-      fs.reorder_span = Seconds(val / 1000.0);
-    } else if (key == "corrupt") {
-      fs.corrupt_time = val;
-    } else if (key == "truncate") {
-      fs.truncate_tail = val;
-    } else if (key == "gap-s") {
-      fs.gap = Seconds(val);
-    } else if (key == "gap-at") {
-      fs.gap_at = val;
-    } else if (key == "skew-ms") {
-      fs.skew_ms = val;
-    } else if (key == "drift-ppm") {
-      fs.drift_ppm = val;
-    } else {
-      std::fprintf(stderr,
-                   "unknown fault key '%s' (known: drop dup reorder "
-                   "reorder-span-ms corrupt truncate gap-s gap-at skew-ms "
-                   "drift-ppm)\n",
-                   key.c_str());
-      return std::nullopt;
-    }
+    if (k->second != nullptr) *k->second = val;
+    if (key == "reorder-span-ms") fs->reorder_span = Seconds(val / 1000.0);
+    if (key == "gap-s") fs->gap = Seconds(val);
   }
-  return fs;
+  return true;
 }
 
-int CmdIngest(std::vector<std::string> args, const MainOptions& mo) {
-  auto out_dir = TakeFlag(args, "--out");
-  auto inject = TakeFlag(args, "--inject");
-  std::optional<std::uint64_t> seed_f;
-  std::optional<double> reorder_window, gap_threshold;
-  if (int rc = TakeU64(args, "--seed", &seed_f)) return rc;
-  if (int rc = TakeD(args, "--reorder-window", &reorder_window)) return rc;
-  if (int rc = TakeD(args, "--gap-threshold", &gap_threshold)) return rc;
+struct Ingest : Parsed {
   bool repair = false;
-  for (auto it = args.begin(); it != args.end();) {
-    if (*it == "--repair") {
-      repair = true;
-      it = args.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (args.size() != 1) return Usage();
-  std::optional<telemetry::FaultSpec> fault;
-  if (inject) {
-    fault = ParseFaultSpec(*inject);
-    if (!fault.has_value()) return 2;
-  }
-  if (mo.dry_run) return 0;
-
-  telemetry::DatasetLoadReport load;
-  telemetry::SessionDataset ds = telemetry::LoadDataset(args[0], &load);
-  std::printf("loaded dataset '%s' (%s, %.0f s, %zu DCIs, %zu packets)\n",
-              args[0].c_str(), ds.cell_name.c_str(),
-              ds.duration().seconds(), ds.dci.size(), ds.packets.size());
-  if (!load.ok()) std::fputs(load.Format().c_str(), stdout);
-
-  if (fault) {
-    std::uint64_t seed = seed_f.value_or(1);
-    telemetry::FaultSummary injected =
-        telemetry::InjectFaults(ds, *fault, seed);
-    std::printf("injected %zu faults (seed %llu)\n", injected.total(),
-                static_cast<unsigned long long>(seed));
-    // Without --repair, --out captures the *corrupted* dataset (before the
-    // sanitize pass below) — a reproducible hostile fixture for tests.
-    if (!repair && out_dir) {
-      telemetry::SaveDataset(ds, *out_dir);
-      std::printf("corrupted dataset written to %s/\n", out_dir->c_str());
-    }
-  }
-
+  std::optional<std::string> out_dir, inject;
+  std::uint64_t seed = 1;
   telemetry::SanitizeOptions opts;
-  if (reorder_window) opts.reorder_window = Seconds(*reorder_window);
-  if (gap_threshold) opts.gap_threshold = Seconds(*gap_threshold);
-  opts.correct_skew = repair;
-  telemetry::SanitizeReport health = telemetry::SanitizeDataset(ds, opts);
-  telemetry::MergeLoadReport(health, load);
-  std::fputs(health.Format().c_str(), stdout);
 
-  if (repair) {
-    const std::string& dest = out_dir ? *out_dir : args[0];
-    telemetry::SaveDataset(ds, dest);
-    std::printf("repaired dataset written to %s/\n", dest.c_str());
-  } else if (out_dir && !inject) {
-    telemetry::SaveDataset(ds, *out_dir);
-    std::printf("sanitized dataset written to %s/\n", out_dir->c_str());
+  Command Spec() {
+    return {"<dataset_dir>", 1, 1,
+            "Sanitize every stream and print the health report (exit 1 if\n"
+            "degraded). --repair also fixes clock skew and writes the result\n"
+            "(to --out, or in place); --inject first corrupts the dataset.",
+            {Switch("--repair", &repair), Str("--out", "DIR", &out_dir),
+             Str("--inject", "k=v,...", &inject), U64("--seed", "N", &seed),
+             Secs("--reorder-window", &opts.reorder_window),
+             Secs("--gap-threshold", &opts.gap_threshold)}};
   }
-  return health.clean() ? 0 : 1;
-}
 
-int CmdAnalyze(std::vector<std::string> args, const MainOptions& mo) {
-  auto config_path = TakeFlag(args, "--config");
-  std::optional<double> window_s, step_s, min_coverage;
-  if (int rc = TakeD(args, "--window", &window_s)) return rc;
-  if (int rc = TakeD(args, "--step", &step_s)) return rc;
-  if (int rc = TakeD(args, "--min-coverage", &min_coverage)) return rc;
-  auto chains_csv = TakeFlag(args, "--chains-csv");
-  auto features_csv = TakeFlag(args, "--features-csv");
-  auto json_report = TakeFlag(args, "--json-report");
-  bool offset_correct = false;
-  bool strict_lint = false;
-  bool no_lint = false;
-  bool no_sanitize = false;
-  for (auto it = args.begin(); it != args.end();) {
-    if (*it == "--offset-correct") {
-      offset_correct = true;
-      it = args.erase(it);
-    } else if (*it == "--strict-lint") {
-      strict_lint = true;
-      it = args.erase(it);
-    } else if (*it == "--no-lint") {
-      no_lint = true;
-      it = args.erase(it);
-    } else if (*it == "--no-sanitize") {
-      no_sanitize = true;
-      it = args.erase(it);
-    } else {
-      ++it;
+  int Run(const MainOptions& mo) {
+    telemetry::FaultSpec fault;
+    if (inject && !ParseFaultSpec(*inject, &fault)) return 2;
+    if (mo.dry_run) return 0;
+
+    telemetry::DatasetLoadReport load;
+    telemetry::SessionDataset ds = telemetry::LoadDataset(ops[0], &load);
+    PrintLoaded(ops[0], ds);
+    if (!load.ok()) std::fputs(load.Format().c_str(), stdout);
+
+    if (inject) {
+      telemetry::FaultSummary injected =
+          telemetry::InjectFaults(ds, fault, seed);
+      std::printf("injected %zu faults (seed %llu)\n", injected.total(),
+                  static_cast<unsigned long long>(seed));
+      // Without --repair, --out captures the *corrupted* dataset (before
+      // the sanitize pass below) — a reproducible hostile fixture.
+      if (!repair && out_dir) {
+        telemetry::SaveDataset(ds, *out_dir);
+        std::printf("corrupted dataset written to %s/\n", out_dir->c_str());
+      }
     }
-  }
-  if (args.size() != 1) return Usage();
-  if (mo.dry_run) return 0;
 
-  telemetry::DatasetLoadReport load;
-  telemetry::SessionDataset ds = telemetry::LoadDataset(args[0], &load);
-  std::optional<telemetry::SanitizeReport> health;
-  if (!no_sanitize) {
-    health = telemetry::SanitizeDataset(ds);
-    telemetry::MergeLoadReport(*health, load);
-  }
-  if (offset_correct) {
-    double offset_ms = telemetry::EstimateClockOffsetMs(ds);
-    telemetry::AlignClocks(ds, offset_ms);
-    std::printf("clock-offset correction applied: remote clock estimated "
-                "%+.1f ms ahead\n", offset_ms);
-  }
-  std::printf("loaded dataset '%s' (%s, %.0f s, %zu DCIs, %zu packets)\n",
-              args[0].c_str(), ds.cell_name.c_str(),
-              ds.duration().seconds(), ds.dci.size(), ds.packets.size());
-  // Stream-health details only surface when something was actually wrong,
-  // keeping clean-trace output identical to historical runs.
-  if (health.has_value() && !health->clean()) {
-    std::fputs(health->Format().c_str(), stdout);
-  }
+    opts.correct_skew = repair;
+    telemetry::SanitizeReport health = telemetry::SanitizeDataset(ds, opts);
+    telemetry::MergeLoadReport(health, load);
+    std::fputs(health.Format().c_str(), stdout);
 
+    if (repair) {
+      const std::string& dest = out_dir ? *out_dir : ops[0];
+      telemetry::SaveDataset(ds, dest);
+      std::printf("repaired dataset written to %s/\n", dest.c_str());
+    } else if (out_dir && !inject) {
+      telemetry::SaveDataset(ds, *out_dir);
+      std::printf("sanitized dataset written to %s/\n", out_dir->c_str());
+    }
+    return health.clean() ? 0 : 1;
+  }
+};
+
+struct Analyze : Parsed {
+  std::optional<std::string> config, chains_csv, features_csv, json_report;
+  bool offset_correct = false, strict_lint = false, no_sanitize = false;
   analysis::DominoConfig cfg;
-  if (window_s) cfg.window = Seconds(*window_s);
-  if (step_s) cfg.step = Seconds(*step_s);
-  if (min_coverage) cfg.min_coverage = *min_coverage;
-  cfg.extract_features = true;
-  using LintMode = analysis::DominoConfig::LintMode;
-  cfg.lint = no_lint       ? LintMode::kOff
-             : strict_lint ? LintMode::kStrict
-                           : LintMode::kPermissive;
 
-  analysis::CausalGraph graph = analysis::CausalGraph::Default(cfg.thresholds);
-  if (config_path) {
-    auto text = ReadFileOrComplain(*config_path);
-    if (!text.has_value()) return 2;
-    if (cfg.lint == LintMode::kOff) {
-      analysis::ExtendGraph(graph, analysis::ParseConfigText(*text),
-                            cfg.thresholds);
-    } else {
+  Command Spec() {
+    return {"<dataset_dir>", 1, 1,
+            "Run the causal-chain analysis and print the report. --config\n"
+            "adds linted user events/chains to the Fig. 9 graph (warnings\n"
+            "block too with --strict-lint).",
+            {Str("--config", "FILE", &config), Secs("--window", &cfg.window),
+             Secs("--step", &cfg.step),
+             Real("--min-coverage", "X", &cfg.min_coverage),
+             Str("--chains-csv", "FILE", &chains_csv),
+             Str("--features-csv", "FILE", &features_csv),
+             Str("--json-report", "FILE", &json_report),
+             Switch("--offset-correct", &offset_correct),
+             Switch("--strict-lint", &strict_lint),
+             Switch("--no-sanitize", &no_sanitize)}};
+  }
+
+  int Run(const MainOptions& mo) {
+    if (mo.dry_run) return 0;
+    telemetry::DatasetLoadReport load;
+    telemetry::SessionDataset ds = telemetry::LoadDataset(ops[0], &load);
+    std::optional<telemetry::SanitizeReport> health;
+    if (!no_sanitize) {
+      health = telemetry::SanitizeDataset(ds);
+      telemetry::MergeLoadReport(*health, load);
+    }
+    if (offset_correct) {
+      double offset_ms = telemetry::EstimateClockOffsetMs(ds);
+      telemetry::AlignClocks(ds, offset_ms);
+      std::printf("clock-offset correction applied: remote clock estimated "
+                  "%+.1f ms ahead\n", offset_ms);
+    }
+    PrintLoaded(ops[0], ds);
+    // Stream-health details only surface when something was actually
+    // wrong, keeping clean-trace output identical to historical runs.
+    if (health.has_value() && !health->clean()) {
+      std::fputs(health->Format().c_str(), stdout);
+    }
+
+    analysis::CausalGraph graph =
+        analysis::CausalGraph::Default(cfg.thresholds);
+    if (config) {
+      auto text = ReadFileOrComplain(*config);
+      if (!text.has_value()) return 2;
       analysis::lint::LintOptions lopts;
       lopts.thresholds = cfg.thresholds;
       // DL407 sample budgets should reflect the window actually analysed.
       lopts.verify_options.window_ms = cfg.window.millis();
       analysis::lint::LintResult lres =
           analysis::lint::LintConfigText(*text, lopts);
-      if (cfg.lint == LintMode::kStrict) {
-        analysis::lint::PromoteWarnings(lres.sink);
-      }
+      if (strict_lint) analysis::lint::PromoteWarnings(lres.sink);
       if (!lres.sink.empty()) {
-        std::fputs(analysis::lint::RenderDiagnostics(lres.sink, *text,
-                                                     *config_path)
-                       .c_str(),
-                   stderr);
+        std::fputs(
+            analysis::lint::RenderDiagnostics(lres.sink, *text, *config)
+                .c_str(),
+            stderr);
       }
       if (lres.sink.has_errors()) return 1;
       analysis::ExtendGraph(graph, lres.config, cfg.thresholds);
+      std::printf("extended causal graph from %s\n", config->c_str());
     }
-    std::printf("extended causal graph from %s\n", config_path->c_str());
-  }
 
-  analysis::Detector detector(std::move(graph), cfg);
-  telemetry::DerivedTrace trace = telemetry::BuildDerivedTrace(ds);
-  if (health.has_value()) trace.quality = health->quality();
-  analysis::AnalysisResult result = detector.Analyze(trace);
+    analysis::Detector detector(std::move(graph), cfg);
+    telemetry::DerivedTrace trace = telemetry::BuildDerivedTrace(ds);
+    if (health.has_value()) trace.quality = health->quality();
+    analysis::AnalysisResult result = detector.Analyze(trace);
 
-  const telemetry::SanitizeReport* health_ptr =
-      health.has_value() ? &*health : nullptr;
-  std::printf("\n%s",
-              analysis::BuildSummaryReport(result, detector, health_ptr)
-                  .c_str());
-
-  if (json_report) {
-    std::ofstream f(*json_report);
-    f << analysis::BuildReportJson(result, detector, health_ptr);
-    std::printf("\nJSON report written to %s\n", json_report->c_str());
-  }
-  if (chains_csv) {
-    std::ofstream f(*chains_csv);
-    analysis::WriteChainsCsv(f, result, detector);
-    std::printf("\nchain instances written to %s\n", chains_csv->c_str());
-  }
-  if (features_csv) {
-    std::ofstream f(*features_csv);
-    analysis::WriteFeaturesCsv(f, result);
-    std::printf("feature vectors written to %s\n", features_csv->c_str());
-  }
-  return 0;
-}
-
-/// Parses the `--stall stream=SEC` spec for `domino replay`.
-std::optional<std::pair<telemetry::StreamId, double>> ParseStallSpec(
-    const std::string& spec) {
-  auto eq = spec.find('=');
-  if (eq == std::string::npos) {
-    std::fprintf(stderr, "bad stall spec '%s' (want stream=SEC)\n",
-                 spec.c_str());
-    return std::nullopt;
-  }
-  const std::string name = spec.substr(0, eq);
-  double sec = 0;
-  if (!ParseFinite(spec.substr(eq + 1), sec)) {
-    std::fprintf(stderr, "bad stall time '%s' (want a finite number)\n",
-                 spec.substr(eq + 1).c_str());
-    return std::nullopt;
-  }
-  using telemetry::StreamId;
-  StreamId id;
-  if (name == "dci") {
-    id = StreamId::kDci;
-  } else if (name == "gnb_log" || name == "gnb") {
-    id = StreamId::kGnbLog;
-  } else if (name == "packets") {
-    id = StreamId::kPackets;
-  } else if (name == "stats_ue") {
-    id = StreamId::kStatsUe;
-  } else if (name == "stats_remote") {
-    id = StreamId::kStatsRemote;
-  } else {
-    std::fprintf(stderr,
-                 "unknown stream '%s' (known: dci gnb_log packets stats_ue "
-                 "stats_remote)\n",
-                 name.c_str());
-    return std::nullopt;
-  }
-  return std::make_pair(id, sec);
-}
-
-int CmdReplay(std::vector<std::string> args, const MainOptions& mo) {
-  std::optional<std::int64_t> interval_ms, chunk_ms;
-  if (int rc = TakeI(args, "--interval-ms", 0, 3'600'000, &interval_ms)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--chunk-ms", 1, INT64_MAX / 1000, &chunk_ms)) {
-    return rc;
-  }
-  auto stall = TakeFlag(args, "--stall");
-  if (args.size() != 2) return Usage();
-  std::optional<std::pair<telemetry::StreamId, double>> stall_spec;
-  if (stall) {
-    stall_spec = ParseStallSpec(*stall);
-    if (!stall_spec.has_value()) return 2;
-  }
-  if (mo.dry_run) return 0;
-
-  telemetry::SessionDataset ds = telemetry::LoadDataset(args[0]);
-  sim::LiveFeedOptions opts;
-  if (chunk_ms) opts.chunk = Millis(*chunk_ms);
-  if (stall_spec) {
-    opts.stall_after[static_cast<std::size_t>(stall_spec->first)] =
-        ds.begin + Seconds(stall_spec->second);
-  }
-  const int sleep_ms = static_cast<int>(interval_ms.value_or(0));
-
-  sim::LiveFeedWriter writer(ds, args[1], opts);
-  std::printf("replaying %s (%.0f s) into %s, %lld ms chunks...\n",
-              args[0].c_str(), ds.duration().seconds(), args[1].c_str(),
-              static_cast<long long>(opts.chunk.micros() / 1000));
-  if (sleep_ms <= 0) {
-    writer.WriteAll();
-  } else {
-    while (writer.Step()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
+    const telemetry::SanitizeReport* health_ptr =
+        health.has_value() ? &*health : nullptr;
+    std::printf("\n%s",
+                analysis::BuildSummaryReport(result, detector, health_ptr)
+                    .c_str());
+    std::ostringstream chains, features;
+    if (chains_csv) analysis::WriteChainsCsv(chains, result, detector);
+    if (features_csv) analysis::WriteFeaturesCsv(features, result);
+    const std::string json =
+        json_report ? analysis::BuildReportJson(result, detector, health_ptr)
+                    : "";
+    const std::tuple<const std::optional<std::string>&, std::string,
+                     const char*>
+        outputs[] = {{json_report, json, "\nJSON report"},
+                     {chains_csv, chains.str(), "\nchain instances"},
+                     {features_csv, features.str(), "feature vectors"}};
+    for (const auto& [path, text, what] : outputs) {
+      if (!path) continue;
+      if (!WriteOutput("analyze", *path, text)) return 2;
+      std::printf("%s written to %s\n", what, path->c_str());
     }
+    return 0;
   }
-  std::printf("replay complete at t=%.1f s\n",
-              (writer.cursor() - ds.begin).seconds());
-  return 0;
-}
+};
 
-// Graceful-shutdown mailboxes. The handlers only bump atomics; the serve
+struct Convert : Parsed {
+  std::optional<std::string> to;
+
+  Command Spec() {
+    return {"<in_dir> <out_dir>", 2, 2,
+            "Re-encode a dataset as the binary telemetry.dtb image (default)\n"
+            "or as CSVs; the input format is detected.",
+            {Choice("--to", "bin|csv", &to)}};
+  }
+
+  int Run(const MainOptions& mo) {
+    const std::string& in_dir = ops[0];
+    const std::string& out_dir = ops[1];
+    if (mo.dry_run) return 0;
+
+    telemetry::DatasetLoadReport report;
+    telemetry::SessionDataset ds = telemetry::LoadDataset(in_dir, &report);
+    if (!report.ok()) {
+      std::fprintf(stderr, "%s: load problems:\n%s", in_dir.c_str(),
+                   report.Format().c_str());
+    }
+    std::string out_path = out_dir + "/ (CSV bundle)";
+    if (to == "csv") {
+      telemetry::SaveDataset(ds, out_dir);
+    } else if (telemetry::SaveDatasetBinary(ds, out_dir)) {
+      out_path = out_dir + "/" + telemetry::kBinaryDatasetFile;
+    } else {
+      std::fprintf(stderr, "cannot write %s/%s\n", out_dir.c_str(),
+                   telemetry::kBinaryDatasetFile);
+      return 1;
+    }
+    std::printf("converted %s -> %s: %zu DCIs, %zu packets, %zu gNB log "
+                "rows, %zu+%zu stats rows\n",
+                in_dir.c_str(), out_path.c_str(), ds.dci.size(),
+                ds.packets.size(), ds.gnb_log.size(), ds.stats[0].size(),
+                ds.stats[1].size());
+    return report.ok() ? 0 : 1;
+  }
+};
+
+struct Codegen : Parsed {
+  std::optional<std::string> out;
+
+  Command Spec() {
+    return {"<config_file>", 1, 1,
+            "Generate the standalone Python detector module for a config\n"
+            "(Fig. 11); writes to stdout unless -o.",
+            {Str("-o", "FILE", &out)}};
+  }
+
+  int Run(const MainOptions& mo) {
+    if (mo.dry_run) return 0;
+    auto text = ReadFileOrComplain(ops[0]);
+    if (!text.has_value()) return 2;
+    const std::string python =
+        analysis::GeneratePython(analysis::ParseConfigText(*text));
+    if (!out) {
+      std::cout << python;
+      return 0;
+    }
+    if (!WriteOutput("codegen", *out, python)) return 2;
+    std::printf("wrote %zu bytes of Python to %s\n", python.size(),
+                out->c_str());
+    return 0;
+  }
+};
+
+struct Lint : Parsed {
+  bool strict = false, no_default_graph = false, no_verify = false;
+  std::optional<std::string> format;
+  std::optional<double> window;
+
+  Command Spec() {
+    return {"<config_file>", 1, 1,
+            "Report every problem in a config (domino-lint + domino-verify).\n"
+            "Exits with the highest severity: 0 clean, 1 warnings, 2 errors.\n"
+            "'domino --lint <file>' is an alias.",
+            {Switch("--strict", &strict),
+             Choice("--format", "text|json", &format),
+             Switch("--no-default-graph", &no_default_graph),
+             Switch("--no-verify", &no_verify),
+             Real("--window", "SEC", &window)}};
+  }
+
+  int Run(const MainOptions& mo) {
+    if (window && *window <= 0) {
+      char value[32];
+      std::snprintf(value, sizeof value, "%g", *window);
+      return BadFlag("--window", value, "seconds > 0");
+    }
+    if (mo.dry_run) return 0;
+    auto text = ReadFileOrComplain(ops[0]);
+    if (!text.has_value()) return 2;
+
+    analysis::lint::LintOptions opts;
+    opts.use_default_graph = !no_default_graph;
+    opts.verify = !no_verify;
+    if (window) opts.verify_options.window_ms = *window * 1000.0;
+    analysis::lint::LintResult res =
+        analysis::lint::LintConfigText(*text, opts);
+    if (strict) analysis::lint::PromoteWarnings(res.sink);
+
+    if (format == "json") {
+      std::fputs(analysis::lint::FormatDiagnosticsJson(res.sink).c_str(),
+                 stdout);
+    } else if (res.sink.empty()) {
+      std::printf("%s: no issues\n", ops[0].c_str());
+    } else {
+      std::fputs(
+          analysis::lint::RenderDiagnostics(res.sink, *text, ops[0]).c_str(),
+          stdout);
+    }
+    // Exit code mirrors the highest severity: 0 clean, 1 warnings, 2 errors.
+    return static_cast<int>(res.sink.max_severity());
+  }
+};
+
+struct Replay : Parsed {
+  int interval_ms = 0;
+  std::optional<std::int64_t> chunk_ms;
+  std::optional<std::string> stall;
+
+  Command Spec() {
+    return {"<dataset_dir> <out_dir>", 2, 2,
+            "Replay a dataset into <out_dir> as a growing capture (for 'live\n"
+            "--follow'); --stall freezes one stream at a session time.",
+            {Int("--interval-ms", "N", 0, 3'600'000, &interval_ms),
+             Int("--chunk-ms", "N", 1, INT64_MAX / 1000, &chunk_ms),
+             Str("--stall", "stream=SEC", &stall)}};
+  }
+
+  int Run(const MainOptions& mo) {
+    std::size_t stream = 0;
+    double stall_s = 0;
+    if (stall) {
+      const auto eq = stall->find('=');
+      const std::string name = stall->substr(0, eq);
+      while (stream < telemetry::kStreamCount &&
+             (name == "gnb" ? "gnb_log" : name) !=
+                 telemetry::StreamName(
+                     static_cast<telemetry::StreamId>(stream))) {
+        ++stream;
+      }
+      if (eq == std::string::npos || stream == telemetry::kStreamCount ||
+          !ParseFinite(stall->substr(eq + 1), stall_s)) {
+        return BadFlag("--stall", *stall,
+                       "stream=SEC, stream one of dci gnb_log packets "
+                       "stats_ue stats_remote");
+      }
+    }
+    if (mo.dry_run) return 0;
+
+    telemetry::SessionDataset ds = telemetry::LoadDataset(ops[0]);
+    sim::LiveFeedOptions opts;
+    if (chunk_ms) opts.chunk = Millis(*chunk_ms);
+    if (stall) opts.stall_after[stream] = ds.begin + Seconds(stall_s);
+    sim::LiveFeedWriter writer(ds, ops[1], opts);
+    std::printf("replaying %s (%.0f s) into %s, %lld ms chunks...\n",
+                ops[0].c_str(), ds.duration().seconds(), ops[1].c_str(),
+                static_cast<long long>(opts.chunk.micros() / 1000));
+    if (interval_ms <= 0) {
+      writer.WriteAll();
+    } else {
+      while (writer.Step()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
+      }
+    }
+    std::printf("replay complete at t=%.1f s\n",
+                (writer.cursor() - ds.begin).seconds());
+    return 0;
+  }
+};
+
+// Graceful-shutdown mailboxes. The handler only touches atomics; the serve
 // daemon's helper thread and the live runner's drain token poll them.
 std::atomic<int> g_term_signals{0};
 std::atomic<int> g_hup_signals{0};
-std::atomic<bool> g_live_drain{false};
+std::atomic<bool> g_drain{false};
 
 #if !defined(_WIN32)
-void OnServeSignal(int sig) {
+void OnSignal(int sig) {
   if (sig == SIGHUP) {
     g_hup_signals.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    g_term_signals.fetch_add(1, std::memory_order_relaxed);
+    return;
   }
+  g_term_signals.fetch_add(1, std::memory_order_relaxed);
+  g_drain.store(true, std::memory_order_relaxed);
 }
 
-void OnLiveSignal(int) {
-  g_live_drain.store(true, std::memory_order_relaxed);
-}
-
-void InstallSignalHandlers(void (*handler)(int), bool with_hup) {
+/// SIGTERM and SIGINT (and with `with_hup` SIGHUP) go to OnSignal.
+void InstallSignalHandlers(bool with_hup) {
   struct sigaction sa {};
-  sa.sa_handler = handler;
+  sa.sa_handler = OnSignal;
   sigemptyset(&sa.sa_mask);
   sa.sa_flags = SA_RESTART;
   ::sigaction(SIGTERM, &sa, nullptr);
@@ -760,254 +737,164 @@ void InstallSignalHandlers(void (*handler)(int), bool with_hup) {
 }
 #endif
 
-int CmdLive(std::vector<std::string> args, const MainOptions& mo) {
-  auto state_dir = TakeFlag(args, "--state");
-  auto chaos_disk = TakeFlag(args, "--chaos-disk");
-  // Sharded fencing (shard.h): a process-isolation serve child proves this
-  // lease token before every durable write; a stolen lease exits 76.
-  auto fence_lease = TakeFlag(args, "--fence-lease");
-  std::optional<std::uint64_t> fence_token;
-  if (int rc = TakeU64(args, "--fence-token", &fence_token)) return rc;
-  std::optional<double> window_s, step_s, min_coverage, chunk_s, horizon_s,
-      stall_deadline_s;
-  std::optional<std::int64_t> threads, max_backlog, checkpoint_every,
-      max_idle, poll_sleep_ms, crash_after, chaos_crash, chaos_fail,
-      chaos_wedge, max_records;
-  if (int rc = TakeD(args, "--window", &window_s)) return rc;
-  if (int rc = TakeD(args, "--step", &step_s)) return rc;
-  if (int rc = TakeD(args, "--min-coverage", &min_coverage)) return rc;
-  if (int rc = TakeI(args, "--threads", 0, 4096, &threads)) return rc;
-  if (int rc = TakeD(args, "--chunk-s", &chunk_s)) return rc;
-  if (int rc = TakeD(args, "--horizon-s", &horizon_s)) return rc;
-  if (int rc = TakeD(args, "--stall-deadline-s", &stall_deadline_s)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--max-backlog", 0, INT64_MAX, &max_backlog)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--checkpoint-every", 0, INT64_MAX,
-                     &checkpoint_every)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--max-idle", 0, INT_MAX, &max_idle)) return rc;
-  if (int rc = TakeI(args, "--poll-sleep-ms", 0, 3'600'000,
-                     &poll_sleep_ms)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--crash-after", 0, INT64_MAX, &crash_after)) {
-    return rc;
-  }
-  // Fleet chaos hooks (fire on fresh runs only; see LiveOptions). Exposed
-  // on `live` so a process-isolation `serve` child can carry them.
-  if (int rc = TakeI(args, "--chaos-crash", 0, INT64_MAX, &chaos_crash)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--chaos-fail", 0, INT64_MAX, &chaos_fail)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--chaos-wedge", 0, INT64_MAX, &chaos_wedge)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--max-records", 1, INT64_MAX, &max_records)) {
-    return rc;
-  }
-  bool naive = false;
-  bool follow = false;
-  bool sequential = false;
-  bool quiet = false;
-  for (auto it = args.begin(); it != args.end();) {
-    if (*it == "--naive") {
-      naive = true;
-      it = args.erase(it);
-    } else if (*it == "--follow") {
-      follow = true;
-      it = args.erase(it);
-    } else if (*it == "--sequential") {
-      sequential = true;
-      it = args.erase(it);
-    } else if (*it == "--quiet") {
-      quiet = true;
-      it = args.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (args.empty()) return Usage();
-  if (state_dir && args.size() > 1) {
-    std::fprintf(stderr,
-                 "--state needs a single dataset dir (got %zu); multiple "
-                 "sessions use <dataset>/live_state\n",
-                 args.size());
-    return 2;
-  }
-  if (fence_lease.has_value() != (fence_token.has_value() && *fence_token > 0)) {
-    std::fprintf(stderr,
-                 "--fence-lease and --fence-token (>= 1) go together\n");
-    return 2;
-  }
-  if (fence_lease && args.size() > 1) {
-    std::fprintf(stderr,
-                 "--fence-lease covers a single session (got %zu datasets)\n",
-                 args.size());
-    return 2;
-  }
-  if (mo.dry_run) return 0;
+/// The flags that set one session's LiveOptions, declared once for `live`
+/// and `serve`. All but --max-backlog are Forwarded: a process-isolation
+/// child must analyse with exactly the parent's configuration, or its
+/// checkpoints would be fingerprint-incompatible across attempts (the
+/// supervisor passes each child its effective --max-backlog itself).
+void DeclareSessionFlags(std::vector<Flag>* flags, runtime::LiveOptions* o,
+                         bool* naive) {
+  flags->insert(
+      flags->end(),
+      {Forwarded(Secs("--window", &o->detector.window)),
+       Forwarded(Secs("--step", &o->detector.step)),
+       Forwarded(Real("--min-coverage", "X", &o->detector.min_coverage)),
+       Forwarded(Secs("--chunk-s", &o->chunk)),
+       Forwarded(Secs("--horizon-s", &o->horizon)),
+       Forwarded(Secs("--stall-deadline-s", &o->stall_deadline)),
+       Forwarded(Int("--checkpoint-every", "N", 0, INT64_MAX,
+                     &o->checkpoint_every_windows)),
+       Forwarded(Int("--max-idle", "N", 0, INT_MAX, &o->max_idle_polls)),
+       Forwarded(Switch("--naive", naive)),
+       Int("--max-backlog", "N", 0, INT64_MAX, &o->max_backlog_windows)});
+}
 
+struct Live : Parsed {
   runtime::LiveOptions opts;
-  if (window_s) opts.detector.window = Seconds(*window_s);
-  if (step_s) opts.detector.step = Seconds(*step_s);
-  if (min_coverage) opts.detector.min_coverage = *min_coverage;
-  if (threads) opts.detector.threads = static_cast<int>(*threads);
-  opts.detector.incremental = !naive;
-  if (chunk_s) opts.chunk = Seconds(*chunk_s);
-  if (horizon_s) opts.horizon = Seconds(*horizon_s);
-  if (stall_deadline_s) opts.stall_deadline = Seconds(*stall_deadline_s);
-  if (max_backlog) opts.max_backlog_windows = static_cast<long>(*max_backlog);
-  if (checkpoint_every) {
-    opts.checkpoint_every_windows = static_cast<long>(*checkpoint_every);
+  bool naive = false;
+  std::string state_dir;
+  std::optional<std::string> chaos_disk;
+
+  Command Spec() {
+    Command c{
+        "<dataset_dir>", 1, 1,
+        "Crash-safe analysis of one growing dataset; state (default\n"
+        "<dataset_dir>/live_state) resumes a killed run byte-identically.\n"
+        "SIGTERM drains. Exit 0 done, 1 failed, 2 usage, 75 drained, 76\n"
+        "fenced. Several sessions: 'domino serve a b c --max-attempts 1'.",
+        {Str("--state", "DIR", &state_dir), Switch("--follow", &opts.follow),
+         Switch("--quiet", &opts.quiet)}};
+    DeclareSessionFlags(&c.flags, &opts, &naive);
+    c.flags.insert(
+        c.flags.end(),
+        {Int("--threads", "N", 0, 4096, &opts.detector.threads),
+         Int("--poll-sleep-ms", "N", 0, 3'600'000, &opts.poll_sleep_ms),
+         Int("--crash-after", "N", 0, INT64_MAX,
+             &opts.crash_after_checkpoints),
+         Int("--chaos-crash", "N", 0, INT64_MAX, &opts.chaos_crash_after),
+         Int("--chaos-fail", "N", 0, INT64_MAX, &opts.chaos_fail_after),
+         Int("--chaos-wedge", "N", 0, INT64_MAX, &opts.chaos_wedge_after),
+         Str("--chaos-disk", "KIND:N", &chaos_disk),
+         Int("--max-records", "N", 1, INT64_MAX, &opts.input.max_records),
+         Str("--fence-lease", "DIR", &opts.fence_lease_dir),
+         U64("--fence-token", "N", &opts.fence_token)});
+    return c;
   }
-  if (max_idle) opts.max_idle_polls = static_cast<int>(*max_idle);
-  if (poll_sleep_ms) opts.poll_sleep_ms = static_cast<int>(*poll_sleep_ms);
-  if (crash_after) {
-    opts.crash_after_checkpoints = static_cast<long>(*crash_after);
-  }
-  if (chaos_crash) opts.chaos_crash_after = static_cast<long>(*chaos_crash);
-  if (chaos_fail) opts.chaos_fail_after = static_cast<long>(*chaos_fail);
-  if (chaos_wedge) opts.chaos_wedge_after = static_cast<long>(*chaos_wedge);
-  if (chaos_disk && !ParseDiskFaultSpec(*chaos_disk, &opts.disk_fault)) {
-    return BadFlag("--chaos-disk", *chaos_disk,
-                   "enospc:N, eio:N, short:N, rename:N or fsync:N "
-                   "with N >= 1");
-  }
-  if (fence_lease) {
-    opts.fence_lease_dir = *fence_lease;
-    opts.fence_token = *fence_token;
-  }
-  if (max_records) {
-    opts.input.max_records = static_cast<std::size_t>(*max_records);
-  }
-  opts.follow = follow;
-  opts.quiet = quiet;
+
+  int Run(const MainOptions& mo) {
+    // Sharded fencing (shard.h): a process-isolation serve child proves
+    // this lease token before every durable write; a stolen lease exits 76.
+    if (opts.fence_lease_dir.empty() != (opts.fence_token == 0)) {
+      return UsageError("live", "--fence-lease and --fence-token (>= 1) go "
+                                "together");
+    }
+    if (chaos_disk && !ParseDiskFaultSpec(*chaos_disk, &opts.disk_fault)) {
+      return BadFlag("--chaos-disk", *chaos_disk,
+                     "enospc:N, eio:N, short:N, rename:N or fsync:N "
+                     "with N >= 1");
+    }
+    if (mo.dry_run) return 0;
+    opts.detector.incremental = !naive;
 #if !defined(_WIN32)
-  // SIGTERM/SIGINT drain: stop at the next poll boundary, write a drain
-  // checkpoint, and exit 75 (EX_TEMPFAIL) so a supervisor — the fleet's
-  // process isolation, or systemd — knows the run is resumable.
-  InstallSignalHandlers(OnLiveSignal, /*with_hup=*/false);
-  opts.drain = &g_live_drain;
+    // SIGTERM/SIGINT drain: stop at the next poll boundary, write a drain
+    // checkpoint, and exit 75 (EX_TEMPFAIL) so a supervisor — the fleet's
+    // process isolation, or systemd — knows the run is resumable.
+    InstallSignalHandlers(/*with_hup=*/false);
+    opts.drain = &g_drain;
 #endif
 
-  std::vector<runtime::SessionSpec> specs;
-  for (const std::string& dir : args) {
-    runtime::SessionSpec spec;
-    spec.dataset_dir = dir;
-    if (state_dir) spec.state_dir = *state_dir;
-    specs.push_back(std::move(spec));
-  }
-
-  analysis::CausalGraph graph =
-      analysis::CausalGraph::Default(opts.detector.thresholds);
-  const bool parallel = !sequential && specs.size() > 1;
-  std::vector<runtime::SessionOutcome> outcomes =
-      runtime::RunSessions(specs, graph, opts, parallel);
-
-  int failures = 0;
-  int fenced = 0;
-  bool drained = false;
-  for (const auto& o : outcomes) {
-    if (!o.ok) {
-      ++failures;
-      if (o.error.rfind("fenced", 0) == 0) ++fenced;
-      std::printf("live %s: FAILED: %s\n", o.dataset_dir.c_str(),
-                  o.error.c_str());
-      continue;
+    const std::string& dir = ops[0];
+    runtime::LiveSummary s;
+    try {
+      runtime::LiveRunner runner(
+          dir, state_dir.empty() ? runtime::DefaultStateDir(dir) : state_dir,
+          analysis::CausalGraph::Default(opts.detector.thresholds), opts);
+      s = runner.Run();
+    } catch (const std::exception& e) {
+      std::printf("live %s: FAILED: %s\n", dir.c_str(), e.what());
+      // 76: a fencing stop — the session lease was stolen and this process
+      // wrote nothing further. The parent supervisor records the session
+      // as fenced (terminal here, finished by the new owner).
+      return std::strncmp(e.what(), "fenced", 6) == 0 ? 76 : 1;
     }
-    const auto& s = o.summary;
-    if (s.drained) drained = true;
     std::printf("live %s: %ld windows, %ld chains (%ld insufficient), "
                 "%ld checkpoints%s%s%s\n",
-                o.dataset_dir.c_str(), s.windows, s.chains,
-                s.insufficient_chains, s.checkpoints,
-                s.resumed ? ", resumed" : "",
+                dir.c_str(), s.windows, s.chains, s.insufficient_chains,
+                s.checkpoints, s.resumed ? ", resumed" : "",
                 s.drained ? ", DRAINED (resumable)" : "",
                 s.stalled_streams > 0 ? ", stalled streams at end" : "");
     std::printf("  report: %s\n  chains: %s\n", s.report_path.c_str(),
                 s.chains_path.c_str());
+    // EX_TEMPFAIL: everything checkpointed cleanly but a signal stopped the
+    // run — rerunning the same command resumes byte-identically.
+    return s.drained ? 75 : 0;
   }
-  // 76: every failure was a fencing stop — the session lease was stolen
-  // and this process wrote nothing further. The parent supervisor records
-  // the session as fenced (terminal here, finished by the new owner).
-  if (failures != 0) return failures == fenced ? 76 : 1;
-  // EX_TEMPFAIL: everything checkpointed cleanly but the run was stopped
-  // by a signal — rerunning the same command resumes byte-identically.
-  return drained ? 75 : 0;
-}
+};
 
-/// Parses the `--chaos idx:kind:N,...` fault schedule for `domino serve`
-/// (kinds: crash fail wedge). Returns false with a message on stderr.
+/// Parses the `--chaos idx:kind:N,...` fault schedule for `domino serve`;
+/// false (after BadFlag) on a malformed item.
 bool ParseChaosSpec(const std::string& spec, std::size_t sessions,
                     std::vector<runtime::SessionChaos>* out) {
   out->assign(sessions, runtime::SessionChaos{});
   std::stringstream ss(spec);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
+  for (std::string item; std::getline(ss, item, ',');) {
     if (item.empty()) continue;
     const auto c1 = item.find(':');
     const auto c2 = c1 == std::string::npos ? c1 : item.find(':', c1 + 1);
     std::int64_t idx = 0, n = 0;
-    if (c1 == std::string::npos || c2 == std::string::npos ||
-        !ParseInt64In(item.substr(0, c1), 0,
-                      static_cast<std::int64_t>(sessions) - 1, idx) ||
-        !ParseInt64In(item.substr(c2 + 1), 1, INT64_MAX, n)) {
-      std::fprintf(stderr,
-                   "bad chaos spec '%s' (want idx:kind:N with idx < %zu, "
-                   "kind crash|fail|wedge, N >= 1)\n",
-                   item.c_str(), sessions);
-      return false;
+    bool ok = c2 != std::string::npos &&
+              ParseInt64In(item.substr(0, c1), 0,
+                           static_cast<std::int64_t>(sessions) - 1, idx) &&
+              ParseInt64In(item.substr(c2 + 1), 1, INT64_MAX, n);
+    if (ok) {
+      const std::string kind = item.substr(c1 + 1, c2 - c1 - 1);
+      runtime::SessionChaos& c = (*out)[static_cast<std::size_t>(idx)];
+      long* hook = kind == "crash"   ? &c.crash_after
+                   : kind == "fail"  ? &c.fail_after
+                   : kind == "wedge" ? &c.wedge_after
+                                     : nullptr;
+      if (hook != nullptr) {
+        *hook = static_cast<long>(n);
+      } else {
+        ok = kind.rfind("disk-", 0) == 0 &&
+             ParseDiskFaultSpec(kind.substr(5) + ":" + std::to_string(n),
+                                &c.disk);
+      }
     }
-    const std::string kind = item.substr(c1 + 1, c2 - c1 - 1);
-    runtime::SessionChaos& c = (*out)[static_cast<std::size_t>(idx)];
-    if (kind == "crash") {
-      c.crash_after = static_cast<long>(n);
-    } else if (kind == "fail") {
-      c.fail_after = static_cast<long>(n);
-    } else if (kind == "wedge") {
-      c.wedge_after = static_cast<long>(n);
-    } else if (kind == "disk-enospc") {
-      c.disk = {DiskFaultSpec::Kind::kEnospc, static_cast<long>(n)};
-    } else if (kind == "disk-eio") {
-      c.disk = {DiskFaultSpec::Kind::kEio, static_cast<long>(n)};
-    } else if (kind == "disk-short") {
-      c.disk = {DiskFaultSpec::Kind::kShortWrite, static_cast<long>(n)};
-    } else if (kind == "disk-rename") {
-      c.disk = {DiskFaultSpec::Kind::kRename, static_cast<long>(n)};
-    } else if (kind == "disk-fsync") {
-      c.disk = {DiskFaultSpec::Kind::kFsync, static_cast<long>(n)};
-    } else {
-      std::fprintf(stderr,
-                   "unknown chaos kind '%s' (known: crash fail wedge "
-                   "disk-enospc disk-eio disk-short disk-rename "
-                   "disk-fsync)\n",
-                   kind.c_str());
+    if (!ok) {
+      const std::string want =
+          "idx:kind:N with idx < " + std::to_string(sessions) +
+          ", kind crash fail wedge disk-{enospc,eio,short,rename,fsync}, "
+          "N >= 1";
+      BadFlag("--chaos", item, want.c_str());
       return false;
     }
   }
   return true;
 }
 
-/// Parses a `--tenant-* name=N,name=N` budget list; false on bad syntax.
-bool ParseTenantBudgets(const std::string& spec, const char* flag,
-                        std::int64_t lo,
+/// Parses a `--tenant-* name=N,...` budget list into `out`; false (after
+/// BadFlag) on bad syntax.
+bool ParseTenantBudgets(const char* flag, const std::string& spec,
                         std::map<std::string, std::int64_t>* out) {
   std::stringstream ss(spec);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
+  for (std::string item; std::getline(ss, item, ',');) {
     if (item.empty()) continue;
     const auto eq = item.find('=');
     std::int64_t v = 0;
     if (eq == std::string::npos || eq == 0 ||
-        !ParseInt64In(item.substr(eq + 1), lo, INT64_MAX, v)) {
-      std::fprintf(stderr, "bad %s entry '%s' (want tenant=N)\n", flag,
-                   item.c_str());
+        !ParseInt64In(item.substr(eq + 1), 1, INT64_MAX, v)) {
+      BadFlag(flag, item, "tenant=N with N >= 1");
       return false;
     }
     (*out)[item.substr(0, eq)] = v;
@@ -1015,487 +902,299 @@ bool ParseTenantBudgets(const std::string& spec, const char* flag,
   return true;
 }
 
-int CmdServe(std::vector<std::string> args, const MainOptions& mo) {
-  auto state_root = TakeFlag(args, "--state-root");
-  auto report_path = TakeFlag(args, "--report");
-  auto isolate_s = TakeFlag(args, "--isolate");
-  auto exec_path = TakeFlag(args, "--exec");
-  auto chaos_spec = TakeFlag(args, "--chaos");
-  auto tenant_backlog_s = TakeFlag(args, "--tenant-backlog");
-  auto tenant_records_s = TakeFlag(args, "--tenant-max-records");
-  auto manifest_path = TakeFlag(args, "--manifest");
-  auto status_file = TakeFlag(args, "--status-file");
-  auto tunables_file = TakeFlag(args, "--tunables");
-  // Sharded fleet: --owner names this box; sessions are then claimed via
-  // leases under <state-root>/shard (shard.h) before admission.
-  auto owner = TakeFlag(args, "--owner");
-  std::optional<double> window_s, step_s, min_coverage, chunk_s, horizon_s,
-      stall_deadline_s, session_deadline_s;
-  std::optional<std::int64_t> workers, max_attempts, backoff_ms,
-      backoff_cap_ms, global_backlog, max_backlog, checkpoint_every,
-      max_idle, scan_interval_ms, status_interval_ms, drain_grace_ms,
-      lease_ttl_ms, heartbeat_ms;
-  if (int rc = TakeI(args, "--lease-ttl-ms", 1, 3'600'000, &lease_ttl_ms)) {
-    return rc;
+struct Serve : Parsed {
+  runtime::LiveOptions opts;
+  runtime::FleetOptions fopts;
+  runtime::ServeDaemonOptions dopts;
+  bool naive = false, quiet = false;
+  std::optional<std::string> state_root, report_path, isolate, exec_path,
+      chaos, tenant_backlog, tenant_records, manifest, owner;
+  std::optional<std::int64_t> lease_ttl_ms, heartbeat_ms;
+
+  Command Spec() {
+    Command c{
+        "<dir | tenant=dir>...", 1, SIZE_MAX,
+        "Run every dataset as an isolated fault domain on a worker pool,\n"
+        "retrying from checkpoints and quarantining after --max-attempts.\n"
+        "--watch treats operands as roots to discover sessions under;\n"
+        "SIGTERM drains, SIGHUP rescans and reloads --tunables. --owner\n"
+        "shares one fleet across boxes on a common --state-root. Exit 0\n"
+        "done (or drained), 2 usage, 3 windows shed, 4 a session failed.",
+        {Int("--workers", "N", 0, 4096, &fopts.workers),
+         Int("--max-attempts", "N", 1, 1000, &fopts.max_attempts),
+         Int("--backoff-ms", "N", 0, 3'600'000, &fopts.backoff_ms),
+         Int("--backoff-cap-ms", "N", 0, 3'600'000, &fopts.backoff_cap_ms),
+         Int("--global-backlog", "N", 0, INT64_MAX,
+             &fopts.global_backlog_windows),
+         Real("--session-deadline-s", "SEC", &fopts.session_deadline_s),
+         Choice("--isolate", "thread|process", &isolate),
+         Str("--exec", "PATH", &exec_path),
+         Str("--state-root", "DIR", &state_root),
+         Str("--report", "FILE", &report_path),
+         Str("--chaos", "idx:kind:N,...", &chaos),
+         Str("--tenant-backlog", "t=N,...", &tenant_backlog),
+         Str("--tenant-max-records", "t=N,...", &tenant_records),
+         Switch("--quiet", &quiet), Switch("--watch", &dopts.watch),
+         Switch("--exit-when-idle", &dopts.exit_when_idle),
+         Int("--scan-interval-ms", "N", 1, 3'600'000,
+             &dopts.scan_interval_ms),
+         Str("--manifest", "FILE", &manifest),
+         Str("--status-file", "FILE", &dopts.status_path),
+         Int("--status-interval-ms", "N", 1, 3'600'000,
+             &dopts.status_interval_ms),
+         Str("--tunables", "FILE", &dopts.tunables_path),
+         Int("--drain-grace-ms", "N", 0, 3'600'000, &dopts.drain_grace_ms),
+         Str("--owner", "ID", &owner),
+         Int("--lease-ttl-ms", "N", 1, 3'600'000, &lease_ttl_ms),
+         Int("--heartbeat-ms", "N", 1, 3'600'000, &heartbeat_ms)}};
+    DeclareSessionFlags(&c.flags, &opts, &naive);
+    return c;
   }
-  if (int rc = TakeI(args, "--heartbeat-ms", 1, 3'600'000, &heartbeat_ms)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--scan-interval-ms", 1, 3'600'000,
-                     &scan_interval_ms)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--status-interval-ms", 1, 3'600'000,
-                     &status_interval_ms)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--drain-grace-ms", 0, 3'600'000,
-                     &drain_grace_ms)) {
-    return rc;
-  }
-  if (int rc = TakeD(args, "--window", &window_s)) return rc;
-  if (int rc = TakeD(args, "--step", &step_s)) return rc;
-  if (int rc = TakeD(args, "--min-coverage", &min_coverage)) return rc;
-  if (int rc = TakeD(args, "--chunk-s", &chunk_s)) return rc;
-  if (int rc = TakeD(args, "--horizon-s", &horizon_s)) return rc;
-  if (int rc = TakeD(args, "--stall-deadline-s", &stall_deadline_s)) {
-    return rc;
-  }
-  if (int rc = TakeD(args, "--session-deadline-s", &session_deadline_s)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--workers", 0, 4096, &workers)) return rc;
-  if (int rc = TakeI(args, "--max-attempts", 1, 1000, &max_attempts)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--backoff-ms", 0, 3'600'000, &backoff_ms)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--backoff-cap-ms", 0, 3'600'000,
-                     &backoff_cap_ms)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--global-backlog", 0, INT64_MAX,
-                     &global_backlog)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--max-backlog", 0, INT64_MAX, &max_backlog)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--checkpoint-every", 0, INT64_MAX,
-                     &checkpoint_every)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--max-idle", 0, INT_MAX, &max_idle)) return rc;
-  bool naive = false;
-  bool quiet = false;
-  bool watch = false;
-  bool exit_when_idle = false;
-  for (auto it = args.begin(); it != args.end();) {
-    if (*it == "--naive") {
-      naive = true;
-      it = args.erase(it);
-    } else if (*it == "--quiet") {
-      quiet = true;
-      it = args.erase(it);
-    } else if (*it == "--watch") {
-      watch = true;
-      it = args.erase(it);
-    } else if (*it == "--exit-when-idle") {
-      exit_when_idle = true;
-      it = args.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (args.empty()) return Usage();
+
+  int Run(const MainOptions& mo) {
 #if defined(_WIN32)
-  if (watch) {
-    std::fprintf(stderr, "serve: --watch needs POSIX signals\n");
-    return 2;
-  }
+    if (dopts.watch) return UsageError("serve", "--watch needs POSIX signals");
 #endif
-  if (owner && (owner->empty() || !state_root)) {
-    std::fprintf(stderr,
-                 "serve: --owner needs a non-empty box id and "
-                 "--state-root (the shared filesystem root)\n");
-    return 2;
-  }
-  if (owner) {
+    if (owner && (owner->empty() || !state_root)) {
+      return UsageError("serve", "--owner needs a non-empty box id and "
+                                 "--state-root (the shared root)");
+    }
     // The owner id lands in file names (fleet-<owner>.manifest) and in
     // checksummed single-line records; keep it to a safe charset.
-    for (char c : *owner) {
-      const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '.' || c == '_' ||
-                      c == '-';
-      if (!ok) {
-        return BadFlag("--owner", *owner,
-                       "letters, digits, '.', '_' or '-' only");
-      }
+    if (owner && owner->find_first_not_of("abcdefghijklmnopqrstuvwxyz"
+                                          "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                                          "0123456789._-") !=
+                     std::string::npos) {
+      return BadFlag("--owner", *owner,
+                     "letters, digits, '.', '_' or '-' only");
     }
-  }
-  if ((lease_ttl_ms || heartbeat_ms) && !owner) {
-    std::fprintf(stderr,
-                 "serve: --lease-ttl-ms/--heartbeat-ms only apply with "
-                 "--owner (sharded mode)\n");
-    return 2;
-  }
+    if ((lease_ttl_ms || heartbeat_ms) && !owner) {
+      return UsageError("serve", "--lease-ttl-ms/--heartbeat-ms only apply "
+                                 "with --owner (sharded mode)");
+    }
+    if (dopts.watch && chaos) {
+      return UsageError("serve", "--chaos indexes a fixed session list, "
+                                 "not --watch discoveries");
+    }
 
-  runtime::FleetOptions fopts;
-  if (isolate_s) {
-    if (*isolate_s == "thread") {
-      fopts.isolate = runtime::IsolationMode::kThread;
-    } else if (*isolate_s == "process") {
-      fopts.isolate = runtime::IsolationMode::kProcess;
-    } else {
-      return BadFlag("--isolate", *isolate_s, "'thread' or 'process'");
-    }
-  }
-  if (workers) fopts.workers = static_cast<int>(*workers);
-  if (max_attempts) fopts.max_attempts = static_cast<int>(*max_attempts);
-  if (backoff_ms) fopts.backoff_ms = static_cast<long>(*backoff_ms);
-  if (backoff_cap_ms) {
-    fopts.backoff_cap_ms = static_cast<long>(*backoff_cap_ms);
-  }
-  if (global_backlog) {
-    fopts.global_backlog_windows = static_cast<long>(*global_backlog);
-  }
-  if (session_deadline_s) fopts.session_deadline_s = *session_deadline_s;
-  fopts.quiet = quiet;
-
-  // Operands are <dir> or <tenant>=<dir>; --state-root gives session i the
-  // state directory <root>/s<i> (default: <dataset>/live_state). With
-  // --watch the operands are roots instead: sessions are discovered under
-  // them at runtime (untenanted, state dir derived from the dataset path).
-  std::vector<runtime::SessionSpec> specs;
-  std::vector<std::string> watch_roots;
-  if (watch) {
-    if (chaos_spec) {
-      std::fprintf(stderr,
-                   "serve: --chaos needs a fixed session list; it cannot "
-                   "index runtime-discovered sessions (drop --watch or "
-                   "--chaos)\n");
-      return 2;
-    }
-    watch_roots.assign(args.begin(), args.end());
-  } else {
-    for (std::size_t i = 0; i < args.size(); ++i) {
+    // Operands are <dir> or <tenant>=<dir>; --state-root gives session i
+    // the state directory <root>/s<i> (default: <dataset>/live_state). With
+    // --watch the operands are roots instead: sessions are discovered
+    // under them at runtime (untenanted, state dir derived from the path).
+    std::vector<runtime::SessionSpec> specs;
+    for (std::size_t i = 0; i < ops.size() && !dopts.watch; ++i) {
       runtime::SessionSpec spec;
-      const auto eq = args[i].find('=');
-      if (eq != std::string::npos && eq > 0) {
-        spec.tenant = args[i].substr(0, eq);
-        spec.dataset_dir = args[i].substr(eq + 1);
-      } else {
-        spec.dataset_dir = args[i];
-      }
+      const auto eq = ops[i].find('=');
+      if (eq != std::string::npos && eq > 0) spec.tenant = ops[i].substr(0, eq);
+      spec.dataset_dir = ops[i].substr(spec.tenant.empty() ? 0 : eq + 1);
       if (spec.dataset_dir.empty()) {
-        std::fprintf(stderr, "serve: empty dataset dir in '%s'\n",
-                     args[i].c_str());
-        return 2;
+        return UsageError("serve", "empty dataset dir in '" + ops[i] + "'");
       }
       if (state_root) {
         // Sharded boxes must agree on the dataset->state mapping whatever
         // order (or subset) of operands each was started with, so they use
         // the stable path-hash mapping instead of the positional s<i>.
         spec.state_dir =
-            owner ? runtime::SessionStateDirFor(*state_root,
-                                                spec.dataset_dir)
+            owner ? runtime::SessionStateDirFor(*state_root, spec.dataset_dir)
                   : *state_root + "/s" + std::to_string(i);
       }
       specs.push_back(std::move(spec));
     }
-  }
+    if (chaos && !ParseChaosSpec(*chaos, specs.size(), &fopts.chaos)) {
+      return 2;
+    }
+    std::map<std::string, std::int64_t> backlogs, records;
+    if ((tenant_backlog && !ParseTenantBudgets("--tenant-backlog",
+                                               *tenant_backlog, &backlogs)) ||
+        (tenant_records && !ParseTenantBudgets("--tenant-max-records",
+                                               *tenant_records, &records))) {
+      return 2;
+    }
+    for (const auto& [tenant, v] : backlogs) {
+      fopts.tenants[tenant].backlog_windows = static_cast<long>(v);
+    }
+    for (const auto& [tenant, v] : records) {
+      fopts.tenants[tenant].input.max_records = static_cast<std::size_t>(v);
+      fopts.tenants[tenant].has_input = true;
+    }
 
-  if (chaos_spec &&
-      !ParseChaosSpec(*chaos_spec, specs.size(), &fopts.chaos)) {
-    return 2;
-  }
-  std::map<std::string, std::int64_t> tenant_backlog, tenant_records;
-  if (tenant_backlog_s && !ParseTenantBudgets(*tenant_backlog_s,
-                                              "--tenant-backlog", 1,
-                                              &tenant_backlog)) {
-    return 2;
-  }
-  if (tenant_records_s && !ParseTenantBudgets(*tenant_records_s,
-                                              "--tenant-max-records", 1,
-                                              &tenant_records)) {
-    return 2;
-  }
-  for (const auto& [tenant, v] : tenant_backlog) {
-    fopts.tenants[tenant].backlog_windows = static_cast<long>(v);
-  }
-  for (const auto& [tenant, v] : tenant_records) {
-    runtime::TenantBudget& tb = fopts.tenants[tenant];
-    tb.input.max_records = static_cast<std::size_t>(v);
-    tb.has_input = true;
-  }
-
-  runtime::LiveOptions opts;
-  if (window_s) opts.detector.window = Seconds(*window_s);
-  if (step_s) opts.detector.step = Seconds(*step_s);
-  if (min_coverage) opts.detector.min_coverage = *min_coverage;
-  opts.detector.incremental = !naive;
-  if (chunk_s) opts.chunk = Seconds(*chunk_s);
-  if (horizon_s) opts.horizon = Seconds(*horizon_s);
-  if (stall_deadline_s) opts.stall_deadline = Seconds(*stall_deadline_s);
-  if (max_backlog) opts.max_backlog_windows = static_cast<long>(*max_backlog);
-  if (checkpoint_every) {
-    opts.checkpoint_every_windows = static_cast<long>(*checkpoint_every);
-  }
-  if (max_idle) opts.max_idle_polls = static_cast<int>(*max_idle);
-  opts.quiet = true;  // Per-poll chatter from N sessions is noise.
-
-  if (fopts.isolate == runtime::IsolationMode::kProcess) {
+    if (isolate == "process") {
+      fopts.isolate = runtime::IsolationMode::kProcess;
 #if defined(__linux__)
-    fopts.exec_path = exec_path.value_or("/proc/self/exe");
+      fopts.exec_path = exec_path.value_or("/proc/self/exe");
 #else
-    if (!exec_path) {
-      std::fprintf(stderr,
-                   "serve: --isolate process needs --exec <domino binary> "
-                   "on this platform\n");
-      return 2;
-    }
-    fopts.exec_path = *exec_path;
+      if (!exec_path) {
+        return UsageError("serve", "--isolate process needs --exec here");
+      }
+      fopts.exec_path = *exec_path;
 #endif
-    // Children must analyse with the exact same configuration, or their
-    // checkpoints would be fingerprint-incompatible across attempts.
-    auto fwd_d = [&fopts](const char* flag, std::optional<double> v) {
-      if (!v) return;
-      std::ostringstream os;
-      os << *v;
-      fopts.child_args.push_back(flag);
-      fopts.child_args.push_back(os.str());
-    };
-    auto fwd_i = [&fopts](const char* flag, std::optional<std::int64_t> v) {
-      if (!v) return;
-      fopts.child_args.push_back(flag);
-      fopts.child_args.push_back(std::to_string(*v));
-    };
-    fwd_d("--window", window_s);
-    fwd_d("--step", step_s);
-    fwd_d("--min-coverage", min_coverage);
-    fwd_d("--chunk-s", chunk_s);
-    fwd_d("--horizon-s", horizon_s);
-    fwd_d("--stall-deadline-s", stall_deadline_s);
-    fwd_i("--checkpoint-every", checkpoint_every);
-    fwd_i("--max-idle", max_idle);
-    if (naive) fopts.child_args.push_back("--naive");
-  }
-  if (mo.dry_run) return 0;
+      fopts.child_args = forwarded;
+    }
+    if (mo.dry_run) return 0;
 
-  // Serve owns its sessions end to end, so successful ones do not need
-  // their checkpoints after the run (standalone `domino live` keeps them
-  // for resume-across-growth).
-  fopts.gc_checkpoints = true;
-
-  runtime::ServeDaemonOptions dopts;
-  dopts.watch = watch;
-  dopts.exit_when_idle = exit_when_idle;
-  if (scan_interval_ms) {
-    dopts.scan_interval_ms = static_cast<long>(*scan_interval_ms);
-  }
-  if (status_interval_ms) {
-    dopts.status_interval_ms = static_cast<long>(*status_interval_ms);
-  }
-  if (drain_grace_ms) {
-    dopts.drain_grace_ms = static_cast<long>(*drain_grace_ms);
-  }
-  dopts.state_root = state_root.value_or("");
-  if (owner) {
-    dopts.owner = *owner;
-    if (lease_ttl_ms) dopts.lease_ttl_ms = static_cast<long>(*lease_ttl_ms);
-    if (heartbeat_ms) dopts.heartbeat_ms = static_cast<long>(*heartbeat_ms);
-  }
-  if (manifest_path) {
-    dopts.manifest_path = *manifest_path;
-  } else if (owner) {
-    // Sharded boxes write per-owner manifests on the shared root — they
-    // must not clobber each other's, and `domino fleet-status` merges all
-    // of them.
-    dopts.manifest_path = *state_root + "/fleet-" + *owner + ".manifest";
-  } else if (watch && state_root) {
-    // Only watch mode defaults to a manifest: a plain batch serve must not
-    // silently resume from an earlier run's ledger.
-    dopts.manifest_path = *state_root + "/fleet.manifest";
-  }
-  dopts.status_path = status_file.value_or("");
-  dopts.tunables_path = tunables_file.value_or("");
-  dopts.watch_roots = std::move(watch_roots);
+    opts.detector.incremental = !naive;
+    opts.quiet = true;  // Per-poll chatter from N sessions is noise.
+    fopts.quiet = quiet;
+    // Serve owns its sessions end to end, so successful ones do not need
+    // their checkpoints after the run (standalone `domino live` keeps them
+    // for resume-across-growth).
+    fopts.gc_checkpoints = true;
+    dopts.state_root = state_root.value_or("");
+    if (owner) {
+      dopts.owner = *owner;
+      if (lease_ttl_ms) dopts.lease_ttl_ms = static_cast<long>(*lease_ttl_ms);
+      if (heartbeat_ms) dopts.heartbeat_ms = static_cast<long>(*heartbeat_ms);
+    }
+    // Sharded boxes write per-owner manifests on the shared root, which
+    // `domino fleet-status` merges. Only watch mode defaults to a manifest:
+    // a plain batch serve must not silently resume an earlier run's ledger.
+    if (manifest) {
+      dopts.manifest_path = *manifest;
+    } else if (owner) {
+      dopts.manifest_path = *state_root + "/fleet-" + *owner + ".manifest";
+    } else if (dopts.watch && state_root) {
+      dopts.manifest_path = *state_root + "/fleet.manifest";
+    }
+    if (dopts.watch) dopts.watch_roots = ops;
 #if !defined(_WIN32)
-  InstallSignalHandlers(OnServeSignal, /*with_hup=*/true);
-  dopts.term_signals = &g_term_signals;
-  dopts.hup_signals = &g_hup_signals;
+    InstallSignalHandlers(/*with_hup=*/true);
+    dopts.term_signals = &g_term_signals;
+    dopts.hup_signals = &g_hup_signals;
 #endif
 
-  analysis::CausalGraph graph =
-      analysis::CausalGraph::Default(opts.detector.thresholds);
-  runtime::ServeDaemonResult dres =
-      runtime::RunServeDaemon(std::move(specs), std::move(graph),
-                              std::move(opts), std::move(fopts), dopts);
-  if (dres.fatal) {
-    std::fprintf(stderr, "serve: %s\n", dres.error.c_str());
-    return 1;
-  }
-  const runtime::FleetReport& report = dres.report;
-
-  std::fputs(runtime::FormatFleetReportText(report).c_str(), stdout);
-  if (report_path) {
-    std::ofstream f(*report_path, std::ios::binary | std::ios::trunc);
-    if (!f) {
-      std::fprintf(stderr, "serve: cannot write %s\n", report_path->c_str());
-      return 2;
-    }
-    f << runtime::BuildFleetReportJson(report);
-    std::printf("JSON report written to %s\n", report_path->c_str());
-  }
-  // Exit codes (documented in --help): a drain is a clean stop — the
-  // manifest carries the rest; otherwise quarantines trump shedding.
-  // Fenced sessions are not failures either: another box finished them.
-  if (report.drained) return 0;
-  for (const auto& o : report.outcomes) {
-    if (!o.ok && !o.fenced) return 4;
-  }
-  if (report.total_shed_windows > 0) return 3;
-  return 0;
-}
-
-int CmdFleetStatus(std::vector<std::string> args, const MainOptions& mo) {
-  auto out_path = TakeFlag(args, "--out");
-  bool with_owners = false;
-  for (auto it = args.begin(); it != args.end();) {
-    if (*it == "--owners") {
-      with_owners = true;
-      it = args.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (args.size() != 1) return Usage();
-  if (mo.dry_run) return 0;
-
-  runtime::FleetStatusView view;
-  std::string err;
-  if (!runtime::CollectFleetStatus(args[0], &view, &err)) {
-    std::fprintf(stderr, "fleet-status: %s\n", err.c_str());
-    return 1;
-  }
-  const std::string json = runtime::BuildFleetStatusJson(view, with_owners);
-  if (out_path) {
-    std::ofstream f(*out_path, std::ios::binary | std::ios::trunc);
-    if (!f) {
-      std::fprintf(stderr, "fleet-status: cannot write %s\n",
-                   out_path->c_str());
-      return 2;
-    }
-    f << json;
-  } else {
-    std::fputs(json.c_str(), stdout);
-  }
-  // 0 = everything terminal and clean, 3 = some session still open,
-  // 4 = some session quarantined (mirrors serve's degraded/failed codes).
-  bool open = false, quarantined = false;
-  for (const auto& s : view.sessions) {
-    if (s.status == 0 || s.status == 3) open = true;
-    if (s.status == 2) quarantined = true;
-  }
-  if (quarantined) return 4;
-  return open ? 3 : 0;
-}
-
-int CmdConvert(std::vector<std::string> args, const MainOptions& mo) {
-  std::string to = "bin";
-  if (auto t = TakeFlag(args, "--to")) to = *t;
-  if (to != "bin" && to != "csv") {
-    return BadFlag("--to", to, "'bin' or 'csv'");
-  }
-  if (args.size() != 2) return Usage();
-  const std::string& in_dir = args[0];
-  const std::string& out_dir = args[1];
-  if (mo.dry_run) return 0;
-
-  telemetry::DatasetLoadReport report;
-  telemetry::SessionDataset ds = telemetry::LoadDataset(in_dir, &report);
-  if (!report.ok()) {
-    std::fprintf(stderr, "%s: load problems:\n%s", in_dir.c_str(),
-                 report.Format().c_str());
-  }
-  std::string out_path;
-  if (to == "bin") {
-    if (!telemetry::SaveDatasetBinary(ds, out_dir)) {
-      std::fprintf(stderr, "cannot write %s/%s\n", out_dir.c_str(),
-                   telemetry::kBinaryDatasetFile);
+    analysis::CausalGraph graph =
+        analysis::CausalGraph::Default(opts.detector.thresholds);
+    runtime::ServeDaemonResult dres =
+        runtime::RunServeDaemon(std::move(specs), std::move(graph),
+                                std::move(opts), std::move(fopts), dopts);
+    if (dres.fatal) {
+      std::fprintf(stderr, "serve: %s\n", dres.error.c_str());
       return 1;
     }
-    out_path = out_dir + "/" + telemetry::kBinaryDatasetFile;
-  } else {
-    telemetry::SaveDataset(ds, out_dir);
-    out_path = out_dir + "/ (CSV bundle)";
+    const runtime::FleetReport& report = dres.report;
+    std::fputs(runtime::FormatFleetReportText(report).c_str(), stdout);
+    if (report_path) {
+      if (!WriteOutput("serve", *report_path,
+                       runtime::BuildFleetReportJson(report))) {
+        return 2;
+      }
+      std::printf("JSON report written to %s\n", report_path->c_str());
+    }
+    // A drain is a clean stop — the manifest carries the rest; otherwise
+    // quarantines trump shedding. Fenced sessions are not failures either:
+    // another box finished them.
+    if (report.drained) return 0;
+    for (const auto& o : report.outcomes) {
+      if (!o.ok && !o.fenced) return 4;
+    }
+    return report.total_shed_windows > 0 ? 3 : 0;
   }
-  std::printf("converted %s -> %s: %zu DCIs, %zu packets, %zu gNB log rows, "
-              "%zu+%zu stats rows\n",
-              in_dir.c_str(), out_path.c_str(), ds.dci.size(),
-              ds.packets.size(), ds.gnb_log.size(), ds.stats[0].size(),
-              ds.stats[1].size());
-  return report.ok() ? 0 : 1;
+};
+
+struct FleetStatus : Parsed {
+  bool with_owners = false;
+  std::optional<std::string> out;
+
+  Command Spec() {
+    return {"<state_root>", 1, 1,
+            "Merge every box's manifest and done markers into one JSON fleet\n"
+            "view. Exit 0 all terminal, 3 some open, 4 some quarantined.",
+            {Switch("--owners", &with_owners), Str("--out", "FILE", &out)}};
+  }
+
+  int Run(const MainOptions& mo) {
+    if (mo.dry_run) return 0;
+    runtime::FleetStatusView view;
+    std::string err;
+    if (!runtime::CollectFleetStatus(ops[0], &view, &err)) {
+      std::fprintf(stderr, "fleet-status: %s\n", err.c_str());
+      return 1;
+    }
+    const std::string json = runtime::BuildFleetStatusJson(view, with_owners);
+    if (!out) {
+      std::fputs(json.c_str(), stdout);
+    } else if (!WriteOutput("fleet-status", *out, json)) {
+      return 2;
+    }
+    // 0 = everything terminal and clean, 3 = some session still open,
+    // 4 = some session quarantined (mirrors serve's degraded/failed codes).
+    bool open = false, quarantined = false;
+    for (const auto& s : view.sessions) {
+      if (s.status == 0 || s.status == 3) open = true;
+      if (s.status == 2) quarantined = true;
+    }
+    if (quarantined) return 4;
+    return open ? 3 : 0;
+  }
+};
+
+// --- dispatch ----------------------------------------------------------------
+
+struct Entry {
+  const char* name;
+  int (*run)(const char*, const std::vector<std::string>&,
+             const MainOptions&);
+  std::string (*synopsis)(const char*);
+};
+
+template <class C>
+constexpr Entry Cmd(const char* name) {
+  return {name,
+          [](const char* n, const std::vector<std::string>& args,
+             const MainOptions& mo) {
+            C c;
+            const int rc = Parse(n, c.Spec(), args, &c);
+            return rc >= 0 ? rc : c.Run(mo);
+          },
+          [](const char* n) { return Synopsis(n, C().Spec()); }};
 }
 
-int CmdCodegen(std::vector<std::string> args, const MainOptions& mo) {
-  auto out = TakeFlag(args, "-o");
-  if (args.size() != 1) return Usage();
-  if (mo.dry_run) return 0;
-  std::ifstream f(args[0]);
-  if (!f) {
-    std::fprintf(stderr, "cannot open config '%s'\n", args[0].c_str());
-    return 2;
-  }
-  std::stringstream buf;
-  buf << f.rdbuf();
-  std::string python =
-      analysis::GeneratePython(analysis::ParseConfigText(buf.str()));
-  if (out) {
-    std::ofstream o(*out);
-    o << python;
-    std::printf("wrote %zu bytes of Python to %s\n", python.size(),
-                out->c_str());
-  } else {
-    std::cout << python;
-  }
-  return 0;
+const Entry kCommands[] = {
+    Cmd<Simulate>("simulate"), Cmd<Ingest>("ingest"),
+    Cmd<Analyze>("analyze"),   Cmd<Live>("live"),
+    Cmd<Serve>("serve"),       Cmd<FleetStatus>("fleet-status"),
+    Cmd<Replay>("replay"),     Cmd<Convert>("convert"),
+    Cmd<Codegen>("codegen"),   Cmd<Lint>("lint")};
+
+void PrintAllUsage(std::FILE* to) {
+  std::string text = "usage:\n";
+  for (const Entry& e : kCommands) text += e.synopsis(e.name);
+  text += "  domino --help | --version | <command> --help\ncells:";
+  for (const Cell& c : kCells) text += std::string(" ") + c.name;
+  std::fprintf(to, "%s\n", text.c_str());
 }
 
 }  // namespace
 
 int DominoMain(std::vector<std::string> args, const MainOptions& mo) {
-  if (args.empty()) return Usage();
-  const std::string cmd = args[0];
+  if (args.empty()) {
+    PrintAllUsage(stderr);
+    return 2;
+  }
+  const std::string cmd = args[0] == "--lint" ? "lint" : args[0];
   args.erase(args.begin());
   if (cmd == "--help" || cmd == "-h" || cmd == "help") {
-    PrintUsage(stdout);
+    PrintAllUsage(stdout);
     return 0;
   }
   if (cmd == "--version" || cmd == "version") {
     std::printf("domino %s\n", DOMINO_VERSION);
     return 0;
   }
-  try {
-    if (cmd == "simulate") return CmdSimulate(std::move(args), mo);
-    if (cmd == "ingest") return CmdIngest(std::move(args), mo);
-    if (cmd == "analyze") return CmdAnalyze(std::move(args), mo);
-    if (cmd == "live") return CmdLive(std::move(args), mo);
-    if (cmd == "serve") return CmdServe(std::move(args), mo);
-    if (cmd == "fleet-status") return CmdFleetStatus(std::move(args), mo);
-    if (cmd == "replay") return CmdReplay(std::move(args), mo);
-    if (cmd == "codegen") return CmdCodegen(std::move(args), mo);
-    if (cmd == "convert") return CmdConvert(std::move(args), mo);
-    if (cmd == "lint" || cmd == "--lint") return CmdLint(std::move(args), mo);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  } catch (...) {
-    std::fprintf(stderr, "error: unknown exception\n");
+  for (const Entry& e : kCommands) {
+    if (cmd != e.name) continue;
+    try {
+      return e.run(e.name, args, mo);
+    } catch (const std::exception& ex) {
+      std::fprintf(stderr, "error: %s\n", ex.what());
+    } catch (...) {
+      std::fprintf(stderr, "error: unknown exception\n");
+    }
     return 1;
   }
-  return Usage();
+  std::fprintf(stderr, "domino: unknown command '%s'\n", cmd.c_str());
+  PrintAllUsage(stderr);
+  return 2;
 }
 
 }  // namespace domino::cli

@@ -12,10 +12,17 @@
 # 2. Stalled-stream supervision: freeze one stream mid-call; the session
 #    must still analyse every window and record the stall in the report
 #    instead of blocking.
-# 3. Multi-session isolation: one poisoned directory among healthy ones
-#    must fail alone (exit 1 overall, healthy outputs intact).
+# 3. Multi-session isolation: one poisoned directory among healthy ones,
+#    run as `domino serve <dirs...> --max-attempts 1` (one attempt each,
+#    no retries), must fail alone: exit 4, the poison QUARANTINED, the
+#    healthy outputs intact.
 # 4. Bounded memory: a session much longer than the horizon must keep its
 #    peak retained span near the horizon and record eviction stats.
+# 5. SIGTERM drain: a --follow run over a capture still being written, and
+#    a run over a long finished capture, must checkpoint and exit 75 on
+#    SIGTERM; rerunning resumes to output byte-identical to an undisturbed
+#    run (the chain log for the growing capture, whose report depends on
+#    the growth history; chain log and report for the finished one).
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -97,13 +104,13 @@ mkdir -p "$work/poison"
 printf 'cell_name,is_private,begin_us,end_us\n' > "$work/poison/meta.csv"
 rm -rf "$work/clean/live_state" "$work/faulted/live_state"
 rc=0
-"$domino" live "$work/clean" "$work/poison" "$work/faulted" --quiet \
-  > "$work/multi_out.txt" || rc=$?
-if [ "$rc" != 1 ]; then
-  echo "  FAIL: expected exit 1 with a poisoned session, got $rc" >&2
+"$domino" serve "$work/clean" "$work/poison" "$work/faulted" \
+  --max-attempts 1 --quiet > "$work/multi_out.txt" || rc=$?
+if [ "$rc" != 4 ]; then
+  echo "  FAIL: expected exit 4 with a poisoned session, got $rc" >&2
   exit 1
 fi
-grep -q "FAILED" "$work/multi_out.txt"
+grep -q "QUARANTINED" "$work/multi_out.txt"
 for d in clean faulted; do
   if [ ! -s "$work/$d/live_state/live_report.json" ]; then
     echo "  FAIL: healthy session $d produced no report" >&2
@@ -126,5 +133,64 @@ assert span <= 20.0, f"peak retained span {span}s not bounded by horizon"
 print(f"  ok: 120 s trace, peak retained span {span}s, "
       f"{ret['evicted_records']} records evicted")
 EOF
+
+echo "== SIGTERM drain =="
+# drain_live <state_dir> <out> <live args...>: starts `domino live`, sends
+# SIGTERM once its chain log exists and sets drain_rc to the exit code. A
+# run still alive 10 s later is SIGKILLed, so one that ignores the signal
+# fails the gate instead of hanging it.
+drain_live() {
+  dl_st=$1; dl_out=$2; shift 2
+  "$domino" live "$@" --quiet --state "$dl_st" > "$dl_out" 2>&1 &
+  dl_pid=$!
+  i=0
+  while [ ! -e "$dl_st/chains.jsonl" ] && [ "$i" -lt 400 ]; do
+    sleep 0.025; i=$((i + 1))
+  done
+  kill -TERM "$dl_pid" 2>/dev/null || true
+  i=0
+  while kill -0 "$dl_pid" 2>/dev/null && [ "$i" -lt 400 ]; do
+    sleep 0.025; i=$((i + 1))
+  done
+  kill -KILL "$dl_pid" 2>/dev/null || true
+  drain_rc=0
+  wait "$dl_pid" || drain_rc=$?
+  if [ "$drain_rc" != 75 ] || ! grep -q "DRAINED (resumable)" "$dl_out"; then
+    echo "  FAIL: SIGTERM should drain live $* to exit 75, got $drain_rc" >&2
+    cat "$dl_out" >&2
+    exit 1
+  fi
+}
+# same_outputs <state_a> <state_b> <files...>
+same_outputs() {
+  so_a=$1; so_b=$2; shift 2
+  for f in "$@"; do
+    if ! cmp -s "$so_a/$f" "$so_b/$f"; then
+      echo "  FAIL: $f differs between $so_a and $so_b after drain" >&2
+      exit 1
+    fi
+  done
+}
+
+"$domino" replay "$work/clean" "$work/grow" --interval-ms 40 > /dev/null &
+replay_pid=$!
+i=0
+while [ ! -e "$work/grow/meta.csv" ] && [ "$i" -lt 400 ]; do
+  sleep 0.025; i=$((i + 1))
+done
+drain_live "$work/grow_state" "$work/grow_out.txt" "$work/grow" --follow \
+  --poll-sleep-ms 20
+wait "$replay_pid"
+run_live "$work/grow" "$work/grow_state" > /dev/null
+run_live "$work/grow" "$work/grow_base" > /dev/null
+same_outputs "$work/grow_state" "$work/grow_base" chains.jsonl
+echo "  ok: --follow run drained to exit 75, resumed chain log identical"
+
+run_live "$work/long" "$work/long_base" > /dev/null
+drain_live "$work/long_drain" "$work/long_out.txt" "$work/long"
+run_live "$work/long" "$work/long_drain" > /dev/null
+same_outputs "$work/long_drain" "$work/long_base" chains.jsonl \
+  live_report.json
+echo "  ok: 120 s run drained to exit 75, resumed byte-identical"
 
 echo "live chaos gate passed"
