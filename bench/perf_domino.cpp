@@ -26,6 +26,7 @@
 #include "telemetry/binfmt.h"
 #include "telemetry/fault_inject.h"
 #include "telemetry/io.h"
+#include "telemetry/retention.h"
 #include "telemetry/sanitize.h"
 #include "telemetry/tail.h"
 
@@ -202,6 +203,9 @@ void BM_Sanitize(benchmark::State& state) {
                      faulted.packets.size() + faulted.stats[0].size() +
                      faulted.stats[1].size();
   for (auto _ : state) {
+    // O(columns): the copy shares every column buffer, and only the
+    // columns the sanitizer rewrites are cloned, so the loop times the
+    // sanitizer rather than a deep copy.
     telemetry::SessionDataset ds = faulted;
     auto report = telemetry::SanitizeDataset(ds);
     benchmark::DoNotOptimize(report);
@@ -212,6 +216,70 @@ void BM_Sanitize(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_Sanitize)->ArgName("fault_pct")->Arg(0)->Arg(5);
+
+/// The raw 60 s session behind BM_Sanitize (built once).
+const telemetry::SessionDataset& SharedDataset() {
+  static const telemetry::SessionDataset ds =
+      RunCall(sim::TMobileFdd15(), Seconds(60), 5);
+  return ds;
+}
+
+/// A SessionDataset copy, as the live loop makes once per poll before it
+/// re-sanitizes: columns share their buffers, so this is O(columns).
+void BM_DatasetCopy(benchmark::State& state) {
+  const telemetry::SessionDataset& ds = SharedDataset();
+  for (auto _ : state) {
+    telemetry::SessionDataset copy = ds;
+    benchmark::DoNotOptimize(copy);
+  }
+  state.counters["records"] =
+      static_cast<double>(telemetry::CountRecords(ds));
+}
+BENCHMARK(BM_DatasetCopy);
+
+/// One steady-state live poll's eviction over the 60 s session: the next
+/// 2 s of every stream is appended (untimed), then ApplyRetention cuts 2 s
+/// off the front of the 30 s retained horizon (timed), as LiveRunner does
+/// once per poll. Streams are split into 2 s blocks by row index (packets
+/// are in arrival order); the dataset restarts when the session runs out.
+void BM_ApplyRetention(benchmark::State& state) {
+  const telemetry::SessionDataset& fx = SharedDataset();
+  constexpr std::size_t kBlocks = 30;   // 60 s in 2 s blocks
+  constexpr std::size_t kHorizon = 15;  // 30 s retained
+  auto append = [](const auto& src, std::size_t b, auto& dst) {
+    const std::size_t n = src.size();
+    for (std::size_t i = n * b / kBlocks; i < n * (b + 1) / kBlocks; ++i) {
+      dst.push_back(src[i]);
+    }
+  };
+  telemetry::SessionDataset ds;
+  telemetry::RetentionStats stats;
+  std::size_t next = kBlocks;
+  double evicted = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    if (next == kBlocks) {
+      ds = telemetry::SessionDataset();
+      ds.begin = fx.begin;
+      ds.ue_rnti = fx.ue_rnti;
+      next = 0;
+    }
+    do {
+      append(fx.dci, next, ds.dci);
+      append(fx.gnb_log, next, ds.gnb_log);
+      append(fx.packets, next, ds.packets);
+      append(fx.stats[0], next, ds.stats[0]);
+      append(fx.stats[1], next, ds.stats[1]);
+    } while (++next <= kHorizon);
+    const Time cut =
+        fx.begin + Seconds(2.0 * static_cast<double>(next - kHorizon));
+    state.ResumeTiming();
+    evicted += static_cast<double>(telemetry::ApplyRetention(ds, cut, stats));
+  }
+  state.counters["evicted_per_s"] =
+      benchmark::Counter(evicted, benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ApplyRetention);
 
 /// On-disk copies of the shared 60 s session, written once: a CSV bundle
 /// and its binary (telemetry.dtb) image, for the loader benchmarks.

@@ -1,18 +1,32 @@
 // A single contiguous typed column — the storage primitive behind both the
 // raw telemetry streams (telemetry/columns.h) and TimeSeries.
 //
-// A Column<T> either owns its elements (a vector) or *borrows* a read-only
-// span whose lifetime is pinned by a shared keepalive — an mmap'd binary
-// trace file, or a sibling column (several series sharing one time axis).
-// Borrowed columns materialize on first mutation (copy-on-write at column
-// granularity), so loaded-and-only-read data is never copied.
+// A Column<T> is a slice [data(), data() + size()) of a reference-counted
+// buffer. The buffer is either *growable* (storage the column appends to)
+// or *foreign*: a read-only range pinned by a shared keepalive — an mmap'd
+// binary trace file, a derived-trace arena, or a sibling series' time axis.
+// Copying a column shares its buffer, so copies of a SessionDataset, a
+// TimeSeries or a DerivedTrace cost O(columns), not O(rows). The first
+// write through a column whose buffer is shared or foreign clones the slice
+// into a fresh growable buffer (copy-on-write at column granularity);
+// loaded-and-only-read data is never copied. Dropping elements off the
+// front advances the slice start and leaves a dead prefix in the buffer,
+// which the next growth reclaims.
+//
+// Thread safety: distinct Column objects may be used from different threads
+// even when they share a buffer, as with std::shared_ptr. A writer clones
+// unless the reference count reads 1 with acquire ordering, which orders
+// its writes after every other holder's last read of the buffer.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -20,58 +34,98 @@ namespace domino {
 
 template <typename T>
 class Column {
+  // Growable storage is allocated uninitialized and moved bytewise.
+  static_assert(std::is_trivially_copyable_v<T>);
+
  public:
   Column() = default;
+  Column(const Column& o) noexcept
+      : buf_(o.buf_), begin_(o.begin_), end_(o.end_), lim_(o.lim_) {
+    if (buf_ != nullptr) buf_->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  Column(Column&& o) noexcept
+      : buf_(std::exchange(o.buf_, nullptr)),
+        begin_(std::exchange(o.begin_, nullptr)),
+        end_(std::exchange(o.end_, nullptr)),
+        lim_(std::exchange(o.lim_, nullptr)) {}
+  /// O(1) for copies and moves alike (copy-and-swap).
+  Column& operator=(Column o) noexcept {
+    std::swap(buf_, o.buf_);
+    std::swap(begin_, o.begin_);
+    std::swap(end_, o.end_);
+    std::swap(lim_, o.lim_);
+    return *this;
+  }
+  ~Column() { Release(); }
 
   [[nodiscard]] std::size_t size() const {
-    return borrowed_ ? bsize_ : own_.size();
+    return static_cast<std::size_t>(end_ - begin_);
   }
-  [[nodiscard]] bool empty() const { return size() == 0; }
-  [[nodiscard]] const T* data() const {
-    return borrowed_ ? bdata_ : own_.data();
+  [[nodiscard]] bool empty() const { return end_ == begin_; }
+  [[nodiscard]] const T* data() const { return begin_; }
+  [[nodiscard]] std::span<const T> span() const { return {begin_, end_}; }
+  [[nodiscard]] const T& operator[](std::size_t i) const { return begin_[i]; }
+  [[nodiscard]] const T& front() const { return *begin_; }
+  [[nodiscard]] const T& back() const { return end_[-1]; }
+  /// True while the elements live in foreign storage (Adopt), i.e. until
+  /// the first write.
+  [[nodiscard]] bool borrowed() const {
+    return buf_ != nullptr && buf_->keepalive != nullptr;
   }
-  [[nodiscard]] std::span<const T> span() const { return {data(), size()}; }
-  [[nodiscard]] const T& operator[](std::size_t i) const { return data()[i]; }
-  [[nodiscard]] const T& front() const { return data()[0]; }
-  [[nodiscard]] const T& back() const { return data()[size() - 1]; }
-  [[nodiscard]] bool borrowed() const { return borrowed_; }
+  /// Elements the growable buffer under this column can hold, dead prefix
+  /// included (0 for foreign storage): the memory a growing column pins.
+  [[nodiscard]] std::size_t capacity() const {
+    return buf_ != nullptr ? buf_->cap : 0;
+  }
 
   void clear() {
-    ReleaseBorrow();
-    own_.clear();
+    if (OwnsUniquely()) {
+      begin_ = end_ = buf_->store;
+    } else {
+      Release();
+    }
   }
   void reserve(std::size_t n) {
-    EnsureOwned();
-    own_.reserve(n);
+    if (OwnsUniquely()) {
+      if (Offset() + n <= buf_->cap) return;
+      if (n <= buf_->cap) {
+        Compact();
+        return;
+      }
+    }
+    if (n > size()) Reallocate(n);
   }
+  /// The hot append path (every cell of every tail poll and CSV load): one
+  /// capacity test against lim_, which sits at end_ unless this column
+  /// has growable storage left, then one uniqueness test.
   void push_back(T v) {
-    EnsureOwned();
-    own_.push_back(std::move(v));
+    if (end_ != lim_ && Unique(buf_)) [[likely]] {
+      *Writable(end_++) = v;
+      return;
+    }
+    Grow(v);
   }
-  void Set(std::size_t i, T v) {
-    EnsureOwned();
-    own_[i] = std::move(v);
-  }
-  /// Whole-column mutable access (materializes a borrowed column).
-  [[nodiscard]] std::span<T> mut() {
-    EnsureOwned();
-    return {own_.data(), own_.size()};
-  }
+  void Set(std::size_t i, T v) { MutData()[i] = v; }
+  /// Whole-column mutable access (clones a shared or foreign buffer first).
+  /// The span writes the buffer in place: finish writing through it before
+  /// the column is next copied, or the copy shares those later writes.
+  [[nodiscard]] std::span<T> mut() { return {MutData(), size()}; }
+  /// Takes over `v`'s elements without copying them.
   void Assign(std::vector<T> v) {
-    ReleaseBorrow();
-    own_ = std::move(v);
+    const std::size_t n = v.size();
+    Install(new Buffer(std::move(v)), n);
   }
 
-  /// Borrows `n` elements at `p`; `keepalive` pins the backing buffer (an
-  /// mmap'd file, a decoded arena, or a sibling column's storage).
-  /// Zero-copy until the first mutation.
+  /// Borrows `n` elements at `p`; `keepalive` (non-null) pins the backing
+  /// buffer (an mmap'd file, a decoded arena, or a sibling column's
+  /// storage). Zero-copy until the first write.
   void Adopt(std::shared_ptr<const void> keepalive, const T* p,
              std::size_t n) {
-    own_.clear();
-    keepalive_ = std::move(keepalive);
-    bdata_ = p;
-    bsize_ = n;
-    borrowed_ = true;
+    assert(keepalive != nullptr);
+    Release();
+    buf_ = new Buffer(std::move(keepalive));
+    begin_ = p;
+    end_ = lim_ = p + n;
   }
 
   /// Borrows a shared vector outright (several columns sharing one axis).
@@ -81,51 +135,172 @@ class Column {
     Adopt(std::shared_ptr<const void>(std::move(shared)), p, n);
   }
 
-  /// In-place compaction: keeps element i iff keep[i] != 0.
+  /// Compaction: keeps element i iff keep[i] != 0, in order.
   void Keep(const std::vector<unsigned char>& keep) {
     assert(keep.size() == size());
-    EnsureOwned();
-    std::size_t w = 0;
-    for (std::size_t i = 0; i < own_.size(); ++i) {
-      if (keep[i]) {
-        if (w != i) own_[w] = std::move(own_[i]);
-        ++w;
+    if (!OwnsUniquely()) {
+      Buffer* b = new Buffer(Kept(keep));
+      T* w = b->store;
+      for (std::size_t i = 0; i < keep.size(); ++i) {
+        if (keep[i]) *w++ = begin_[i];
       }
+      Install(b, b->cap);
+      return;
     }
-    own_.resize(w);
+    T* d = Writable(begin_);
+    std::size_t w = 0;
+    for (std::size_t i = 0; i < keep.size(); ++i) {
+      if (keep[i]) d[w++] = d[i];
+    }
+    end_ = begin_ + w;
+  }
+
+  /// Front eviction: drops the first `n` elements, then each of the next
+  /// keep.size() elements whose keep[i] is 0. Survivors keep their order
+  /// and slide toward the back, so the elements past n + keep.size() never
+  /// move; the slice start advances past everything dropped, and a later
+  /// growth reclaims that dead prefix. O(keep.size()) element moves; a pure
+  /// front drop (empty `keep`) moves nothing and never clones.
+  void DropFront(std::size_t n, std::span<const unsigned char> keep = {}) {
+    const std::size_t end = n + keep.size();
+    assert(end <= size());
+    if (keep.empty()) {
+      begin_ += n;
+      return;
+    }
+    if (!OwnsUniquely()) {
+      Buffer* b = new Buffer(Kept(keep) + (size() - end));
+      T* w = b->store;
+      for (std::size_t i = n; i < end; ++i) {
+        if (keep[i - n]) *w++ = begin_[i];
+      }
+      std::copy(begin_ + end, end_, w);
+      Install(b, b->cap);
+      return;
+    }
+    T* d = Writable(begin_);
+    std::size_t w = end;  // Survivors of [n, end) end up in [w, end).
+    for (std::size_t i = end; i-- > n;) {
+      if (keep[i - n]) d[--w] = d[i];
+    }
+    begin_ += w;
   }
 
   /// Reorders the column to data[perm[0]], data[perm[1]], ...
   void Gather(const std::vector<std::uint32_t>& perm) {
-    std::vector<T> out(perm.size());
-    const T* d = data();
-    for (std::size_t i = 0; i < perm.size(); ++i) out[i] = d[perm[i]];
-    Assign(std::move(out));
+    Buffer* b = new Buffer(perm.size());
+    T* out = b->store;
+    for (std::size_t i = 0; i < perm.size(); ++i) out[i] = begin_[perm[i]];
+    Install(b, perm.size());
   }
 
   friend bool operator==(const Column& a, const Column& b) {
-    return std::equal(a.data(), a.data() + a.size(), b.data(),
-                      b.data() + b.size());
+    return std::equal(a.begin_, a.end_, b.begin_, b.end_);
   }
 
  private:
-  void EnsureOwned() {
-    if (!borrowed_) return;
-    own_.assign(bdata_, bdata_ + bsize_);
-    ReleaseBorrow();
+  /// The reference-counted buffer. Growable storage is `cap` elements at
+  /// `store`, owned by `grown` (allocated here, uninitialized) or by `vec`
+  /// (a vector handed over by Assign). Foreign storage is pinned by
+  /// `keepalive` instead, and `store` is null.
+  struct Buffer {
+    explicit Buffer(std::size_t n)
+        : grown(n > 0 ? std::make_unique_for_overwrite<T[]>(n) : nullptr),
+          store(grown.get()),
+          cap(n) {}
+    explicit Buffer(std::vector<T> v)
+        : vec(std::move(v)), store(vec.data()), cap(vec.size()) {}
+    explicit Buffer(std::shared_ptr<const void> k) : keepalive(std::move(k)) {}
+
+    std::unique_ptr<T[]> grown;
+    std::vector<T> vec;
+    std::shared_ptr<const void> keepalive;
+    T* store = nullptr;
+    std::size_t cap = 0;
+    std::atomic<std::size_t> refs{1};
+  };
+
+  /// Smallest growable buffer push_back allocates.
+  static constexpr std::size_t kMinCapacity = 16;
+
+  /// Acquire: a count of 1 orders what follows after the release of every
+  /// other holder (std::shared_ptr::use_count is only a relaxed load).
+  static bool Unique(const Buffer* b) {
+    return b->refs.load(std::memory_order_acquire) == 1;
   }
-  void ReleaseBorrow() {
-    keepalive_.reset();
-    bdata_ = nullptr;
-    bsize_ = 0;
-    borrowed_ = false;
+  /// Growable storage only this column references: writable in place.
+  /// Foreign buffers have no `store`, so they never qualify.
+  [[nodiscard]] bool OwnsUniquely() const {
+    return buf_ != nullptr && buf_->store != nullptr && Unique(buf_);
+  }
+  /// The slice of a growable buffer points into non-const storage; only a
+  /// unique holder writes it.
+  static T* Writable(const T* p) { return const_cast<T*>(p); }
+  /// Dead prefix ahead of the slice in a growable buffer.
+  [[nodiscard]] std::size_t Offset() const {
+    return static_cast<std::size_t>(begin_ - buf_->store);
+  }
+  static std::size_t Kept(std::span<const unsigned char> keep) {
+    return static_cast<std::size_t>(std::count_if(
+        keep.begin(), keep.end(), [](unsigned char k) { return k != 0; }));
+  }
+  /// The slice, writable: clones first unless the buffer is ours alone.
+  T* MutData() {
+    if (!OwnsUniquely() && !empty()) Reallocate(size());
+    return Writable(begin_);
+  }
+  /// Moves the slice to the start of our own buffer.
+  void Compact() {
+    T* s = buf_->store;
+    end_ = std::copy(begin_, end_, s);
+    begin_ = s;
+  }
+  /// Replaces the buffer with a private growable copy of the slice that
+  /// has room for `cap` elements.
+  void Reallocate(std::size_t cap) {
+    Buffer* b = new Buffer(cap);
+    std::copy(begin_, end_, b->store);
+    Install(b, size());
+  }
+  /// Releases the current buffer; the column becomes `b`'s first `n`
+  /// elements.
+  void Install(Buffer* b, std::size_t n) {
+    Release();
+    buf_ = b;
+    begin_ = b->store;
+    end_ = begin_ + n;
+    lim_ = begin_ + b->cap;
+  }
+  /// push_back's slow path: no buffer yet, a shared or foreign one, or a
+  /// full one of ours. A full buffer whose dead prefix is at least a
+  /// quarter of it is compacted in place instead of grown. So a column
+  /// that is evicted as fast as it is appended stops growing; a compaction
+  /// moves at most three live elements per element it reclaims (amortised
+  /// O(1) per evicted element); and capacity doubles exactly as an
+  /// unevicted column's would, only later, so it never holds more.
+  void Grow(T v) {
+    if (!OwnsUniquely()) {
+      Reallocate(std::max(2 * size(), kMinCapacity));
+    } else if (Offset() > 0 && Offset() >= buf_->cap / 4) {
+      Compact();
+    } else {
+      Reallocate(std::max(2 * buf_->cap, kMinCapacity));
+    }
+    *Writable(end_++) = v;
+  }
+  void Release() {
+    if (buf_ != nullptr &&
+        buf_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      delete buf_;
+    }
+    buf_ = nullptr;
+    begin_ = end_ = lim_ = nullptr;
   }
 
-  std::vector<T> own_;
-  std::shared_ptr<const void> keepalive_;
-  const T* bdata_ = nullptr;
-  std::size_t bsize_ = 0;
-  bool borrowed_ = false;
+  Buffer* buf_ = nullptr;
+  const T* begin_ = nullptr;
+  const T* end_ = nullptr;
+  const T* lim_ = nullptr;  ///< Storage end when growable, else end_.
 };
 
 }  // namespace domino

@@ -194,9 +194,11 @@ struct FleetSupervisor::Impl {
   struct SessionState {
     int attempts = 0;
     bool deadline_exceeded = false;
-    bool admitted = false;
+    bool admitted = false;  ///< Dequeued for a first attempt.
     bool terminal = false;
-    Clock::time_point admitted_at{};
+    /// When the session was first queued; retries keep it, so latency
+    /// covers queue wait, every attempt and the backoffs between them.
+    Clock::time_point queued_at{};
     double latency_s = 0;
     SessionOutcome outcome;
   };
@@ -378,7 +380,8 @@ void FleetSupervisor::Impl::SetupSession(SessionSpec spec,
     st.deadline_exceeded = seed->outcome.deadline_exceeded;
   } else {
     if (seed != nullptr) st.attempts = seed->attempts;
-    queue.push_back(Task{idx, Clock::now()});
+    st.queued_at = Clock::now();
+    queue.push_back(Task{idx, st.queued_at});
     ++open_sessions;
   }
   st.outcome.dataset_dir = spec.dataset_dir;
@@ -614,10 +617,7 @@ void FleetSupervisor::Impl::WorkerLoop(int worker_id) {
         }
       }
       SessionState& st = state[task.idx];
-      if (!st.admitted) {
-        st.admitted = true;
-        st.admitted_at = Clock::now();
-      }
+      st.admitted = true;
       ++st.attempts;
     }
 
@@ -713,7 +713,7 @@ void FleetSupervisor::Impl::WorkerLoop(int worker_id) {
     if (terminal) {
       st.terminal = true;
       st.latency_s =
-          std::chrono::duration<double>(Clock::now() - st.admitted_at)
+          std::chrono::duration<double>(Clock::now() - st.queued_at)
               .count();
       if (!out.ok || out.summary.checkpoints > 0) {
         // Best-effort partial/final progress from the last checkpoint (for

@@ -225,9 +225,9 @@ struct FleetReport {
   long total_chains = 0;
   long total_shed_windows = 0;
 
-  /// End-to-end wall-clock latency per session (first admission to final
-  /// outcome, backoff included), spec order. Text report only — never part
-  /// of the byte-compared JSON.
+  /// End-to-end wall-clock latency per session (first queued to final
+  /// outcome: queue wait, attempts and backoff included), spec order. Text
+  /// report only — never part of the byte-compared JSON.
   std::vector<double> session_latency_s;
 };
 

@@ -8,11 +8,12 @@
 // materialized on demand, so emitters (`push_back`) and row-oriented
 // passes (the fault injector) keep their natural shape.
 //
-// Zero-copy ingest: a Column<T> either owns its storage (a vector) or
-// borrows a read-only span from a shared backing buffer — the arena of an
-// mmap'd binary trace file (binfmt.h). Borrowed columns materialize on
-// first mutation (copy-on-write at column granularity), so a loaded trace
-// that is only analysed never copies its bulk data out of the page cache.
+// Zero-copy ingest and O(1) copies: a Column<T> is a slice of a shared
+// buffer — its own growable one, or the arena of an mmap'd binary trace
+// file (binfmt.h). Copies share the buffer and the first write clones it
+// (copy-on-write at column granularity), so a loaded trace that is only
+// analysed never copies its bulk data out of the page cache, and a
+// dataset copy costs O(columns). Retention evicts by advancing the slice.
 #pragma once
 
 #include <algorithm>
@@ -117,21 +118,29 @@ class RowApi {
     for (const Record& r : rows) d().Append(r);
   }
 
-  /// Drops every row with RowTime(i) < cut; returns how many were removed.
+  /// Drops every row with RowTime(i) < cut, keeping the others in order;
+  /// returns how many were removed. The rows before the first one at or
+  /// past the cut leave by a slice advance (Column::DropFront). Older rows
+  /// interleaved with newer ones after it — packets are cut by send time
+  /// but stored in arrival order — are compacted out of that mixed zone
+  /// only, so the rows past it never move: O(mixed zone) element moves
+  /// plus one read of the time column.
   std::size_t RemoveOlderThan(Time cut) {
-    const std::size_t n = d().size();
-    std::vector<unsigned char> keep(n, 1);
-    std::size_t removed = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (d().RowTime(i) < cut) {
-        keep[i] = 0;
-        ++removed;
-      }
+    const std::span<const Time> t = d().RowTimes();
+    const std::size_t n = t.size();
+    std::size_t head = 0;
+    while (head < n && t[head] < cut) ++head;
+    std::size_t late = 0;  // Rows older than the cut past the head.
+    for (std::size_t i = head; i < n; ++i) late += t[i] < cut ? 1 : 0;
+    if (head == 0 && late == 0) return 0;
+    std::vector<unsigned char> keep;  // Over the mixed zone [head, end).
+    for (std::size_t i = head, left = late; left > 0; ++i) {
+      const bool old = t[i] < cut;
+      keep.push_back(old ? 0 : 1);
+      left -= old ? 1 : 0;
     }
-    if (removed > 0) {
-      d().ForEachColumn([&](auto& c) { c.Keep(keep); });
-    }
-    return removed;
+    d().ForEachColumn([&](auto& c) { c.DropFront(head, keep); });
+    return head + late;
   }
 
   /// Inserts a row at index `idx` (row-materializing; intended for tests

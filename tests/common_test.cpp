@@ -1,13 +1,20 @@
-// Unit tests for the foundation library: time, RNG, time series, statistics,
-// event queue, CSV, table rendering, and CRC-32.
+// Unit tests for the foundation library: time, RNG, columns, time series,
+// statistics, event queue, CSV, table rendering, and CRC-32.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <numeric>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/column.h"
 #include "common/crc32.h"
 #include "common/crc32_kernels.h"
 #include "common/csv.h"
@@ -127,6 +134,236 @@ TEST(RngTest, ForkedStreamsIndependent) {
     if (a.Uniform() == b.Uniform()) ++equal;
   }
   EXPECT_LT(equal, 5);
+}
+
+// --- Column (shared copy-on-write slices) ------------------------------------
+
+std::vector<std::int64_t> Elems(const Column<std::int64_t>& c) {
+  return {c.data(), c.data() + c.size()};
+}
+
+/// Fills a column with 0..n-1 through push_back (growable storage).
+Column<std::int64_t> Iota(std::int64_t n) {
+  Column<std::int64_t> c;
+  for (std::int64_t i = 0; i < n; ++i) c.push_back(i);
+  return c;
+}
+
+/// The three storage shapes a column can be copied from.
+enum class Source { kOwned, kSliced, kBorrowed };
+
+Column<std::int64_t> MakeSource(Source s) {
+  switch (s) {
+    case Source::kOwned:
+      return Iota(8);
+    case Source::kSliced: {
+      Column<std::int64_t> c = Iota(11);
+      c.DropFront(3);  // 3..10: a slice with a dead prefix
+      return c;
+    }
+    case Source::kBorrowed: {
+      // Foreign storage pinned by a keepalive, as an mmap'd .dtb is.
+      auto arena = std::make_shared<std::vector<std::int64_t>>(
+          std::vector<std::int64_t>{40, 41, 42, 43, 44, 45, 46, 47});
+      Column<std::int64_t> c;
+      c.Adopt(std::shared_ptr<const void>(arena), arena->data() + 1, 6);
+      return c;  // 41..46
+    }
+  }
+  return {};
+}
+
+/// Every mutator, each with the effect it must have on a std::vector.
+struct Mutator {
+  const char* name;
+  std::function<void(Column<std::int64_t>&)> apply;
+  std::function<void(std::vector<std::int64_t>&)> model;
+};
+
+std::vector<Mutator> AllMutators() {
+  return {
+      {"push_back", [](auto& c) { c.push_back(99); },
+       [](auto& v) { v.push_back(99); }},
+      {"Set", [](auto& c) { c.Set(1, -5); }, [](auto& v) { v[1] = -5; }},
+      {"mut", [](auto& c) { c.mut()[0] = 7; }, [](auto& v) { v[0] = 7; }},
+      {"Keep",
+       [](auto& c) {
+         std::vector<unsigned char> keep(c.size());
+         for (std::size_t i = 0; i < keep.size(); ++i) keep[i] = i % 2;
+         c.Keep(keep);
+       },
+       [](auto& v) {
+         std::vector<std::int64_t> out;
+         for (std::size_t i = 1; i < v.size(); i += 2) out.push_back(v[i]);
+         v = out;
+       }},
+      {"Gather",
+       [](auto& c) {
+         std::vector<std::uint32_t> perm(c.size());
+         std::iota(perm.rbegin(), perm.rend(), 0u);
+         c.Gather(perm);
+       },
+       [](auto& v) { std::reverse(v.begin(), v.end()); }},
+      {"Assign", [](auto& c) { c.Assign({1, 2, 3}); },
+       [](auto& v) { v = {1, 2, 3}; }},
+      {"reserve", [](auto& c) { c.reserve(1000); }, [](auto&) {}},
+      {"clear", [](auto& c) { c.clear(); }, [](auto& v) { v.clear(); }},
+      {"DropFront", [](auto& c) { c.DropFront(2); },
+       [](auto& v) { v.erase(v.begin(), v.begin() + 2); }},
+      {"DropFront+keep",
+       [](auto& c) {
+         const std::vector<unsigned char> keep = {0, 1, 0};
+         c.DropFront(1, keep);
+       },
+       [](auto& v) { v = std::vector<std::int64_t>(v.begin() + 2, v.end());
+                     v.erase(v.begin() + 1); }},
+  };
+}
+
+TEST(ColumnTest, EveryMutatorLeavesEveryOtherCopyIntact) {
+  for (Source s : {Source::kOwned, Source::kSliced, Source::kBorrowed}) {
+    for (const Mutator& m : AllMutators()) {
+      SCOPED_TRACE(std::string(m.name) + " on source " +
+                   std::to_string(static_cast<int>(s)));
+      Column<std::int64_t> src = MakeSource(s);
+      const std::vector<std::int64_t> original = Elems(src);
+      Column<std::int64_t> a = src;  // copy constructor
+      Column<std::int64_t> b;
+      b = src;  // copy assignment
+      m.apply(a);
+      std::vector<std::int64_t> want = original;
+      m.model(want);
+      EXPECT_EQ(Elems(a), want);
+      EXPECT_EQ(Elems(src), original);
+      EXPECT_EQ(Elems(b), original);
+      // And the other way round: mutating the source spares its copies.
+      m.apply(src);
+      EXPECT_EQ(Elems(src), want);
+      EXPECT_EQ(Elems(b), original);
+      EXPECT_EQ(Elems(a), want);
+    }
+  }
+}
+
+TEST(ColumnTest, UniqueColumnsMutateInPlace) {
+  Column<std::int64_t> c = Iota(100);
+  const std::int64_t* before = c.data();
+  c.Set(5, -1);
+  c.DropFront(10);
+  EXPECT_EQ(c.data(), before + 10);  // a slice advance moves nothing
+  const std::vector<unsigned char> keep = {1, 0, 1};
+  c.DropFront(0, keep);  // drops element 11; 10 slides onto its slot
+  EXPECT_EQ(c.data(), before + 11);
+  EXPECT_EQ(c.size(), 89u);
+  EXPECT_EQ(c[0], 10);
+  EXPECT_EQ(c[1], 12);
+  EXPECT_EQ(c.back(), 99);
+}
+
+TEST(ColumnTest, ForeignStorageReportsBorrowedUntilFirstWrite) {
+  Column<std::int64_t> c = MakeSource(Source::kBorrowed);
+  Column<std::int64_t> copy = c;
+  EXPECT_TRUE(c.borrowed());
+  EXPECT_TRUE(copy.borrowed());
+  c.DropFront(1);  // a slice advance is not a write
+  EXPECT_TRUE(c.borrowed());
+  c.push_back(1);
+  EXPECT_FALSE(c.borrowed());
+  EXPECT_TRUE(copy.borrowed());
+  EXPECT_EQ(Elems(copy), (std::vector<std::int64_t>{41, 42, 43, 44, 45, 46}));
+
+  // A time axis shared with a sibling series stays shared in every copy
+  // until that copy appends.
+  auto axis = std::make_shared<const std::vector<Time>>(
+      std::vector<Time>{Time{0}, Time{10}, Time{20}});
+  TimeSeries<double> s;
+  s.AdoptSharedTimes(axis, {1.0, 2.0, 3.0});
+  TimeSeries<double> t = s;
+  EXPECT_TRUE(s.shares_times());
+  EXPECT_TRUE(t.shares_times());
+  t.Push(Time{30}, 4.0);
+  EXPECT_FALSE(t.shares_times());
+  EXPECT_TRUE(s.shares_times());
+  EXPECT_EQ(s.size(), 3u);
+  EXPECT_EQ(t.size(), 4u);
+}
+
+TEST(ColumnTest, SlicedColumnNeverHoldsMoreCapacityThanUnsliced) {
+  // A stream evicted as fast as it grows (a live session's steady state):
+  // the dead prefix is reclaimed instead of growing the buffer.
+  Column<std::int64_t> sliced;
+  Column<std::int64_t> unsliced;
+  std::int64_t first = 0;
+  for (std::int64_t i = 0; i < 100000; ++i) {
+    sliced.push_back(i);
+    unsliced.push_back(i);
+    if (i % 97 == 0 && sliced.size() > 300) {
+      const std::size_t drop = sliced.size() - 300;
+      sliced.DropFront(drop);
+      first += static_cast<std::int64_t>(drop);
+    }
+    ASSERT_LE(sliced.capacity(), unsliced.capacity()) << "after " << i;
+  }
+  EXPECT_EQ(sliced.front(), first);
+  EXPECT_EQ(sliced.back(), 99999);
+  // At most 300 + 97 live elements: the buffer stays a small multiple of
+  // that while the unsliced one holds all 100000.
+  EXPECT_LE(sliced.capacity(), 2048u);
+  EXPECT_GE(unsliced.capacity(), 100000u);
+}
+
+TEST(ColumnTest, CopiesMutatedOnTwoThreads) {
+  // Each thread mutates its own copy of one shared buffer; the original
+  // and each copy must come out exactly as a private vector would.
+  const Column<std::int64_t> shared = Iota(20000);
+  auto work = [&shared](std::int64_t tag, std::vector<std::int64_t>* out) {
+    for (int round = 0; round < 20; ++round) {
+      Column<std::int64_t> c = shared;
+      c.Set(0, tag);
+      for (std::int64_t i = 0; i < 1000; ++i) c.push_back(tag + i);
+      c.DropFront(500);
+      *out = Elems(c);
+    }
+  };
+  std::vector<std::int64_t> r1;
+  std::vector<std::int64_t> r2;
+  std::thread t1(work, 1000000, &r1);
+  std::thread t2(work, 2000000, &r2);
+  t1.join();
+  t2.join();
+  EXPECT_EQ(Elems(shared), Elems(Iota(20000)));
+  ASSERT_EQ(r1.size(), 20500u);
+  EXPECT_EQ(r1.front(), 500);
+  EXPECT_EQ(r1.back(), 1000000 + 999);
+  EXPECT_EQ(r2.back(), 2000000 + 999);
+}
+
+TEST(ColumnTest, LastReleaseOnAnotherThreadLetsTheOwnerWriteInPlace) {
+  // Another thread reads its copy and drops it; the owner then sees a
+  // count of 1 and overwrites the elements that thread read, in place.
+  // Only the count's acquire/release orders the two (the flag is relaxed),
+  // which is what the TSan leg checks.
+  for (int round = 0; round < 50; ++round) {
+    Column<std::int64_t> owner = Iota(64);
+    const std::int64_t* storage = owner.data();
+    std::atomic<bool> released{false};
+    std::thread reader([copy = owner, &released]() mutable {
+      std::int64_t sum = 0;
+      for (std::size_t i = 0; i < copy.size(); ++i) sum += copy[i];
+      EXPECT_EQ(sum, 63 * 64 / 2);
+      copy = Column<std::int64_t>();
+      released.store(true, std::memory_order_relaxed);
+    });
+    while (!released.load(std::memory_order_relaxed)) {
+      std::this_thread::yield();
+    }
+    for (std::size_t i = 0; i < owner.size(); ++i) {
+      owner.Set(i, -static_cast<std::int64_t>(i));
+    }
+    EXPECT_EQ(owner.data(), storage);
+    EXPECT_EQ(owner[63], -63);
+    reader.join();
+  }
 }
 
 // --- TimeSeries --------------------------------------------------------------

@@ -647,6 +647,31 @@ TEST(FleetSupervisorTest, PoisonedSessionQuarantinedOthersFinish) {
             runtime::BuildFleetReportJson(b));
 }
 
+TEST(FleetSupervisorTest, SessionLatencyIncludesQueueWait) {
+  // One worker, two sessions queued together: a 10 s capture, then a
+  // poisoned one that fails at once. The second waits out the first's
+  // whole service time, and its latency must say so; stamped at first
+  // dequeue instead, it would read only its own near-zero service time.
+  const std::string scratch = FleetTempDir("latency_queue_wait");
+  std::vector<runtime::SessionSpec> specs(2);
+  specs[0].dataset_dir = FleetDatasetDir();
+  specs[1].dataset_dir = MakePoisonDir(scratch);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    specs[i].state_dir = scratch + "/s" + std::to_string(i);
+  }
+  runtime::FleetOptions fopts = QuietFleet();
+  fopts.workers = 1;
+  fopts.max_attempts = 1;
+
+  runtime::FleetReport r = RunFleet(specs, FleetLiveOpts(), fopts);
+  ASSERT_EQ(r.session_latency_s.size(), 2u);
+  EXPECT_TRUE(r.outcomes[0].ok) << r.outcomes[0].error;
+  EXPECT_TRUE(r.outcomes[1].quarantined);
+  // Session 0 ran first with no wait, so its latency is its service time.
+  EXPECT_GT(r.session_latency_s[0], 0.0);
+  EXPECT_GE(r.session_latency_s[1], r.session_latency_s[0]);
+}
+
 TEST(FleetSupervisorTest, InjectedFailureRetriedToByteIdenticalSuccess) {
   const std::string scratch = FleetTempDir("retry_recovers");
   std::vector<runtime::SessionSpec> specs(2);
