@@ -8,15 +8,24 @@
 // Copying a column shares its buffer, so copies of a SessionDataset, a
 // TimeSeries or a DerivedTrace cost O(columns), not O(rows). The first
 // write through a column whose buffer is shared or foreign clones the slice
-// into a fresh growable buffer (copy-on-write at column granularity);
+// into a fresh growable buffer (copy-on-write at column granularity; an
+// append by the buffer's tail holder, below, is the exception);
 // loaded-and-only-read data is never copied. Dropping elements off the
 // front advances the slice start and leaves a dead prefix in the buffer,
 // which the next growth reclaims.
 //
+// Appending is the one write that needs no count test. The unused tail of
+// a growable buffer past the slice belongs to at most one column: the one
+// that created the buffer or last found itself its sole holder. Copies
+// never inherit the tail, and that column's end only grows while the
+// buffer is shared, so every other slice ends at or before it and nothing
+// else can read what push_back writes there.
+//
 // Thread safety: distinct Column objects may be used from different threads
-// even when they share a buffer, as with std::shared_ptr. A writer clones
-// unless the reference count reads 1 with acquire ordering, which orders
-// its writes after every other holder's last read of the buffer.
+// even when they share a buffer, as with std::shared_ptr. Every other
+// in-place write clones unless the reference count reads 1 with acquire
+// ordering, which orders it after every other holder's last read of the
+// buffer.
 #pragma once
 
 #include <algorithm>
@@ -39,8 +48,9 @@ class Column {
 
  public:
   Column() = default;
+  /// Shares o's buffer, but not its tail: the copy's first append clones.
   Column(const Column& o) noexcept
-      : buf_(o.buf_), begin_(o.begin_), end_(o.end_), lim_(o.lim_) {
+      : buf_(o.buf_), begin_(o.begin_), end_(o.end_), lim_(o.end_) {
     if (buf_ != nullptr) buf_->refs.fetch_add(1, std::memory_order_relaxed);
   }
   Column(Column&& o) noexcept
@@ -81,6 +91,7 @@ class Column {
   void clear() {
     if (OwnsUniquely()) {
       begin_ = end_ = buf_->store;
+      lim_ = begin_ + buf_->cap;
     } else {
       Release();
     }
@@ -97,9 +108,9 @@ class Column {
   }
   /// The hot append path (every cell of every tail poll and CSV load): one
   /// capacity test against lim_, which sits at end_ unless this column
-  /// has growable storage left, then one uniqueness test.
+  /// holds its buffer's tail (see the header comment) and room is left.
   void push_back(T v) {
-    if (end_ != lim_ && Unique(buf_)) [[likely]] {
+    if (end_ != lim_) [[likely]] {
       *Writable(end_++) = v;
       return;
     }
@@ -153,6 +164,7 @@ class Column {
       if (keep[i]) d[w++] = d[i];
     }
     end_ = begin_ + w;
+    lim_ = buf_->store + buf_->cap;
   }
 
   /// Front eviction: drops the first `n` elements, then each of the next
@@ -249,11 +261,13 @@ class Column {
     if (!OwnsUniquely() && !empty()) Reallocate(size());
     return Writable(begin_);
   }
-  /// Moves the slice to the start of our own buffer.
+  /// Moves the slice to the start of our own buffer (held alone, so the
+  /// tail is ours too).
   void Compact() {
     T* s = buf_->store;
     end_ = std::copy(begin_, end_, s);
     begin_ = s;
+    lim_ = s + buf_->cap;
   }
   /// Replaces the buffer with a private growable copy of the slice that
   /// has room for `cap` elements.
@@ -271,22 +285,31 @@ class Column {
     end_ = begin_ + n;
     lim_ = begin_ + b->cap;
   }
-  /// push_back's slow path: no buffer yet, a shared or foreign one, or a
-  /// full one of ours. A full buffer whose dead prefix is at least a
-  /// quarter of it is compacted in place instead of grown. So a column
-  /// that is evicted as fast as it is appended stops growing; a compaction
-  /// moves at most three live elements per element it reclaims (amortised
-  /// O(1) per evicted element); and capacity doubles exactly as an
-  /// unevicted column's would, only later, so it never holds more.
+  /// push_back's slow path: no buffer yet, a shared or foreign one, a full
+  /// one of ours, or one we hold alone without its tail (a copy whose
+  /// siblings are gone), which takes the tail back. A full buffer whose
+  /// dead prefix is at least a quarter of it is compacted in place; any
+  /// other full buffer grows by half. So a compaction moves at most three
+  /// live elements per element it reclaims (amortised O(1) per evicted
+  /// element), and a buffer grows only to less than twice its live
+  /// elements: a column evicted as fast as it is appended stops growing
+  /// below twice its peak size. A column that is only appended to and
+  /// front-dropped steps through the same capacities as one never
+  /// evicted, only later, so it never holds more than that either.
   void Grow(T v) {
     if (!OwnsUniquely()) {
-      Reallocate(std::max(2 * size(), kMinCapacity));
+      Reallocate(Grown(size()));
+    } else if (end_ != buf_->store + buf_->cap) {
+      lim_ = buf_->store + buf_->cap;
     } else if (Offset() > 0 && Offset() >= buf_->cap / 4) {
       Compact();
     } else {
-      Reallocate(std::max(2 * buf_->cap, kMinCapacity));
+      Reallocate(Grown(buf_->cap));
     }
     *Writable(end_++) = v;
+  }
+  static std::size_t Grown(std::size_t n) {
+    return std::max(n + n / 2, kMinCapacity);
   }
   void Release() {
     if (buf_ != nullptr &&
@@ -300,7 +323,8 @@ class Column {
   Buffer* buf_ = nullptr;
   const T* begin_ = nullptr;
   const T* end_ = nullptr;
-  const T* lim_ = nullptr;  ///< Storage end when growable, else end_.
+  /// The buffer's storage end while this column holds the tail, else end_.
+  const T* lim_ = nullptr;
 };
 
 }  // namespace domino

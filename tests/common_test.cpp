@@ -260,6 +260,31 @@ TEST(ColumnTest, UniqueColumnsMutateInPlace) {
   EXPECT_EQ(c.back(), 99);
 }
 
+TEST(ColumnTest, OnlyTheTailHolderAppendsInPlace) {
+  Column<std::int64_t> a = Iota(10);  // capacity 16: a holds the tail
+  const std::int64_t* storage = a.data();
+  Column<std::int64_t> b = a;
+  a.push_back(10);  // past every other slice: no clone
+  EXPECT_EQ(a.data(), storage);
+  EXPECT_EQ(Elems(b), Elems(Iota(10)));
+  b.push_back(-1);  // a copy never inherits the tail: it clones
+  EXPECT_NE(b.data(), storage);
+  EXPECT_EQ(a[10], 10);
+  EXPECT_EQ(b[10], -1);
+
+  // Once its siblings are gone, a copy takes the tail back and overwrites
+  // what the old holder appended past its own end.
+  Column<std::int64_t> c = Iota(10);
+  Column<std::int64_t> d = c;
+  c.push_back(10);
+  c = Column<std::int64_t>();
+  const std::int64_t* shared = d.data();
+  d.push_back(-2);
+  EXPECT_EQ(d.data(), shared);
+  EXPECT_EQ(d.size(), 11u);
+  EXPECT_EQ(d[10], -2);
+}
+
 TEST(ColumnTest, ForeignStorageReportsBorrowedUntilFirstWrite) {
   Column<std::int64_t> c = MakeSource(Source::kBorrowed);
   Column<std::int64_t> copy = c;
@@ -290,26 +315,33 @@ TEST(ColumnTest, ForeignStorageReportsBorrowedUntilFirstWrite) {
 
 TEST(ColumnTest, SlicedColumnNeverHoldsMoreCapacityThanUnsliced) {
   // A stream evicted as fast as it grows (a live session's steady state):
-  // the dead prefix is reclaimed instead of growing the buffer.
-  Column<std::int64_t> sliced;
-  Column<std::int64_t> unsliced;
-  std::int64_t first = 0;
-  for (std::int64_t i = 0; i < 100000; ++i) {
-    sliced.push_back(i);
-    unsliced.push_back(i);
-    if (i % 97 == 0 && sliced.size() > 300) {
-      const std::size_t drop = sliced.size() - 300;
-      sliced.DropFront(drop);
-      first += static_cast<std::int64_t>(drop);
+  // the dead prefix is reclaimed instead of growing the buffer, and the
+  // buffer stays below twice the most elements the column ever held, for
+  // retained sizes at every position between two capacity steps.
+  for (const std::size_t keep : {300u, 700u, 1000u, 1500u, 5000u}) {
+    SCOPED_TRACE(keep);
+    Column<std::int64_t> sliced;
+    Column<std::int64_t> unsliced;
+    std::int64_t first = 0;
+    std::size_t peak = 0;
+    for (std::int64_t i = 0; i < 100000; ++i) {
+      sliced.push_back(i);
+      unsliced.push_back(i);
+      peak = std::max(peak, sliced.size());
+      if (i % 97 == 0 && sliced.size() > keep) {
+        const std::size_t drop = sliced.size() - keep;
+        sliced.DropFront(drop);
+        first += static_cast<std::int64_t>(drop);
+      }
+      ASSERT_LE(sliced.capacity(), unsliced.capacity()) << "after " << i;
+      ASSERT_LT(sliced.capacity(), std::max<std::size_t>(2 * peak, 17))
+          << "after " << i;
     }
-    ASSERT_LE(sliced.capacity(), unsliced.capacity()) << "after " << i;
+    EXPECT_EQ(sliced.front(), first);
+    EXPECT_EQ(sliced.back(), 99999);
+    EXPECT_EQ(peak, keep + 97);
+    EXPECT_GE(unsliced.capacity(), 100000u);
   }
-  EXPECT_EQ(sliced.front(), first);
-  EXPECT_EQ(sliced.back(), 99999);
-  // At most 300 + 97 live elements: the buffer stays a small multiple of
-  // that while the unsliced one holds all 100000.
-  EXPECT_LE(sliced.capacity(), 2048u);
-  EXPECT_GE(unsliced.capacity(), 100000u);
 }
 
 TEST(ColumnTest, CopiesMutatedOnTwoThreads) {
@@ -363,6 +395,42 @@ TEST(ColumnTest, LastReleaseOnAnotherThreadLetsTheOwnerWriteInPlace) {
     EXPECT_EQ(owner.data(), storage);
     EXPECT_EQ(owner[63], -63);
     reader.join();
+  }
+}
+
+TEST(ColumnTest, TailHolderAppendsWhileAnotherThreadReadsItsCopy) {
+  // The holder appends in place past the copy's end while the copy is read
+  // on another thread; then a copy takes the tail back after the holder,
+  // having appended on its own thread, is released there. Only the count
+  // orders the second case, as above.
+  for (int round = 0; round < 50; ++round) {
+    Column<std::int64_t> holder = Iota(64);
+    holder.reserve(4096);
+    const std::int64_t* storage = holder.data();
+    std::thread reader([copy = Column<std::int64_t>(holder)] {
+      std::int64_t sum = 0;
+      for (std::size_t i = 0; i < copy.size(); ++i) sum += copy[i];
+      EXPECT_EQ(sum, 63 * 64 / 2);
+    });
+    for (std::int64_t i = 64; i < 2048; ++i) holder.push_back(i);
+    reader.join();
+    EXPECT_EQ(holder.data(), storage);
+
+    Column<std::int64_t> copy = holder;
+    std::atomic<bool> released{false};
+    std::thread appender([h = std::move(holder), &released]() mutable {
+      for (std::int64_t i = 0; i < 1024; ++i) h.push_back(-i);
+      h = Column<std::int64_t>();
+      released.store(true, std::memory_order_relaxed);
+    });
+    while (!released.load(std::memory_order_relaxed)) {
+      std::this_thread::yield();
+    }
+    for (std::int64_t i = 0; i < 1024; ++i) copy.push_back(7);
+    EXPECT_EQ(copy.data(), storage);
+    EXPECT_EQ(copy[2047], 2047);
+    EXPECT_EQ(copy[2048], 7);
+    appender.join();
   }
 }
 
