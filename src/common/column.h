@@ -8,24 +8,15 @@
 // Copying a column shares its buffer, so copies of a SessionDataset, a
 // TimeSeries or a DerivedTrace cost O(columns), not O(rows). The first
 // write through a column whose buffer is shared or foreign clones the slice
-// into a fresh growable buffer (copy-on-write at column granularity; an
-// append by the buffer's tail holder, below, is the exception);
+// into a fresh growable buffer (copy-on-write at column granularity);
 // loaded-and-only-read data is never copied. Dropping elements off the
 // front advances the slice start and leaves a dead prefix in the buffer,
 // which the next growth reclaims.
 //
-// Appending is the one write that needs no count test. The unused tail of
-// a growable buffer past the slice belongs to at most one column: the one
-// that created the buffer or last found itself its sole holder. Copies
-// never inherit the tail, and that column's end only grows while the
-// buffer is shared, so every other slice ends at or before it and nothing
-// else can read what push_back writes there.
-//
 // Thread safety: distinct Column objects may be used from different threads
-// even when they share a buffer, as with std::shared_ptr. Every other
-// in-place write clones unless the reference count reads 1 with acquire
-// ordering, which orders it after every other holder's last read of the
-// buffer.
+// even when they share a buffer, as with std::shared_ptr. A writer clones
+// unless the reference count reads 1 with acquire ordering, which orders
+// its writes after every other holder's last read of the buffer.
 #pragma once
 
 #include <algorithm>
@@ -48,9 +39,8 @@ class Column {
 
  public:
   Column() = default;
-  /// Shares o's buffer, but not its tail: the copy's first append clones.
   Column(const Column& o) noexcept
-      : buf_(o.buf_), begin_(o.begin_), end_(o.end_), lim_(o.end_) {
+      : buf_(o.buf_), begin_(o.begin_), end_(o.end_), lim_(o.lim_) {
     if (buf_ != nullptr) buf_->refs.fetch_add(1, std::memory_order_relaxed);
   }
   Column(Column&& o) noexcept
@@ -91,7 +81,6 @@ class Column {
   void clear() {
     if (OwnsUniquely()) {
       begin_ = end_ = buf_->store;
-      lim_ = begin_ + buf_->cap;
     } else {
       Release();
     }
@@ -108,9 +97,9 @@ class Column {
   }
   /// The hot append path (every cell of every tail poll and CSV load): one
   /// capacity test against lim_, which sits at end_ unless this column
-  /// holds its buffer's tail (see the header comment) and room is left.
+  /// has growable storage left, then one uniqueness test.
   void push_back(T v) {
-    if (end_ != lim_) [[likely]] {
+    if (end_ != lim_ && Unique(buf_)) [[likely]] {
       *Writable(end_++) = v;
       return;
     }
@@ -149,22 +138,12 @@ class Column {
   /// Compaction: keeps element i iff keep[i] != 0, in order.
   void Keep(const std::vector<unsigned char>& keep) {
     assert(keep.size() == size());
-    if (!OwnsUniquely()) {
-      Buffer* b = new Buffer(Kept(keep));
-      T* w = b->store;
-      for (std::size_t i = 0; i < keep.size(); ++i) {
-        if (keep[i]) *w++ = begin_[i];
-      }
-      Install(b, b->cap);
-      return;
-    }
-    T* d = Writable(begin_);
+    T* d = MutData();
     std::size_t w = 0;
     for (std::size_t i = 0; i < keep.size(); ++i) {
       if (keep[i]) d[w++] = d[i];
     }
     end_ = begin_ + w;
-    lim_ = buf_->store + buf_->cap;
   }
 
   /// Front eviction: drops the first `n` elements, then each of the next
@@ -174,26 +153,13 @@ class Column {
   /// growth reclaims that dead prefix. O(keep.size()) element moves; a pure
   /// front drop (empty `keep`) moves nothing and never clones.
   void DropFront(std::size_t n, std::span<const unsigned char> keep = {}) {
-    const std::size_t end = n + keep.size();
-    assert(end <= size());
-    if (keep.empty()) {
-      begin_ += n;
-      return;
-    }
-    if (!OwnsUniquely()) {
-      Buffer* b = new Buffer(Kept(keep) + (size() - end));
-      T* w = b->store;
-      for (std::size_t i = n; i < end; ++i) {
-        if (keep[i - n]) *w++ = begin_[i];
-      }
-      std::copy(begin_ + end, end_, w);
-      Install(b, b->cap);
-      return;
-    }
-    T* d = Writable(begin_);
-    std::size_t w = end;  // Survivors of [n, end) end up in [w, end).
-    for (std::size_t i = end; i-- > n;) {
-      if (keep[i - n]) d[--w] = d[i];
+    assert(n + keep.size() <= size());
+    begin_ += n;
+    if (keep.empty()) return;
+    T* d = MutData();
+    std::size_t w = keep.size();  // Survivors end up in [w, keep.size()).
+    for (std::size_t i = keep.size(); i-- > 0;) {
+      if (keep[i]) d[--w] = d[i];
     }
     begin_ += w;
   }
@@ -252,22 +218,16 @@ class Column {
   [[nodiscard]] std::size_t Offset() const {
     return static_cast<std::size_t>(begin_ - buf_->store);
   }
-  static std::size_t Kept(std::span<const unsigned char> keep) {
-    return static_cast<std::size_t>(std::count_if(
-        keep.begin(), keep.end(), [](unsigned char k) { return k != 0; }));
-  }
   /// The slice, writable: clones first unless the buffer is ours alone.
   T* MutData() {
     if (!OwnsUniquely() && !empty()) Reallocate(size());
     return Writable(begin_);
   }
-  /// Moves the slice to the start of our own buffer (held alone, so the
-  /// tail is ours too).
+  /// Moves the slice to the start of our own buffer.
   void Compact() {
     T* s = buf_->store;
     end_ = std::copy(begin_, end_, s);
     begin_ = s;
-    lim_ = s + buf_->cap;
   }
   /// Replaces the buffer with a private growable copy of the slice that
   /// has room for `cap` elements.
@@ -285,31 +245,26 @@ class Column {
     end_ = begin_ + n;
     lim_ = begin_ + b->cap;
   }
-  /// push_back's slow path: no buffer yet, a shared or foreign one, a full
-  /// one of ours, or one we hold alone without its tail (a copy whose
-  /// siblings are gone), which takes the tail back. A full buffer whose
-  /// dead prefix is at least a quarter of it is compacted in place; any
-  /// other full buffer grows by half. So a compaction moves at most three
-  /// live elements per element it reclaims (amortised O(1) per evicted
-  /// element), and a buffer grows only to less than twice its live
-  /// elements: a column evicted as fast as it is appended stops growing
-  /// below twice its peak size. A column that is only appended to and
-  /// front-dropped steps through the same capacities as one never
-  /// evicted, only later, so it never holds more than that either.
+  /// push_back's slow path: no buffer yet, a shared or foreign one, or a
+  /// full one of ours. A full buffer whose dead prefix is at least a
+  /// quarter of it is compacted in place; one with a smaller dead prefix
+  /// (a column being evicted) grows by half, and one with none doubles, as
+  /// a std::vector does. So a compaction moves at most three live elements
+  /// per element it reclaims (amortised O(1) per evicted element), a column
+  /// that is never front-dropped grows exactly as a vector would, no growth
+  /// makes a buffer more than twice the elements it holds, and a column
+  /// evicted as fast as it is appended stops growing.
   void Grow(T v) {
     if (!OwnsUniquely()) {
-      Reallocate(Grown(size()));
-    } else if (end_ != buf_->store + buf_->cap) {
-      lim_ = buf_->store + buf_->cap;
+      Reallocate(std::max(2 * size(), kMinCapacity));
     } else if (Offset() > 0 && Offset() >= buf_->cap / 4) {
       Compact();
     } else {
-      Reallocate(Grown(buf_->cap));
+      const std::size_t cap = buf_->cap;
+      Reallocate(std::max(Offset() > 0 ? cap + cap / 2 : 2 * cap,
+                          kMinCapacity));
     }
     *Writable(end_++) = v;
-  }
-  static std::size_t Grown(std::size_t n) {
-    return std::max(n + n / 2, kMinCapacity);
   }
   void Release() {
     if (buf_ != nullptr &&
@@ -323,8 +278,7 @@ class Column {
   Buffer* buf_ = nullptr;
   const T* begin_ = nullptr;
   const T* end_ = nullptr;
-  /// The buffer's storage end while this column holds the tail, else end_.
-  const T* lim_ = nullptr;
+  const T* lim_ = nullptr;  ///< Storage end when growable, else end_.
 };
 
 }  // namespace domino
